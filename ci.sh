@@ -2,10 +2,9 @@
 # ci.sh — the repo's gate: formatting, vet, simlint, build, tests, the race
 # detector (the runner fans simulation runs across OS threads, so every
 # test also runs under -race), a determinism smoke test proving that a
-# parallel experiment fleet is byte-identical to a serial one, a stress
-# loop on the PDES shard barrier, and a sharded-fleet smoke proving that
-# splitting one fleet run across shard engines (-shards) is byte-identical
-# to serial execution.
+# parallel experiment fleet is byte-identical to a serial one, and a
+# sharded-fleet smoke proving that splitting one fleet run across shard
+# engines (-shards) is byte-identical to serial execution.
 set -eu
 
 cd "$(dirname "$0")"
@@ -31,71 +30,10 @@ echo "== simlint =="
 # engine seeds; no shard-unsafe package state, tainted RNG seeds,
 # allocations on //simlint:hotpath functions, inexhaustive enum switches,
 # or inline schema tags. See DESIGN.md "Determinism rules" and "Analyzer
-# architecture". The tree must be clean with every pass enabled and no
-# baseline; the simlint-diag/v1 artifact records that emptiness.
+# architecture". The tree must be clean with every pass enabled.
 go build -o "$detdir/simlint" ./cmd/simlint
-cold_ns=$(date +%s%N)
-"$detdir/simlint" -json "$detdir/simlint-diag.json" -cache "$detdir/simlint-cache" ./... \
-    2>"$detdir/simlint-cold.log"
-cold_ms=$((($(date +%s%N) - cold_ns) / 1000000))
-if ! grep -q '"schema": "simlint-diag/v1"' "$detdir/simlint-diag.json"; then
-    echo "simlint gate FAILED: artifact missing simlint-diag/v1 schema tag" >&2
-    exit 1
-fi
-if ! grep -q '"count": 0' "$detdir/simlint-diag.json"; then
-    echo "simlint gate FAILED: artifact reports findings on a clean exit" >&2
-    cat "$detdir/simlint-diag.json" >&2
-    exit 1
-fi
-# An unchanged rerun must be served entirely from the content-hash cache:
-# no parsing, no type checking, just a replay of the recorded diagnostics.
-warm_ns=$(date +%s%N)
-"$detdir/simlint" -cache "$detdir/simlint-cache" ./... 2>"$detdir/simlint-warm.log"
-warm_ms=$((($(date +%s%N) - warm_ns) / 1000000))
-if ! grep -q 'module-hit=true' "$detdir/simlint-warm.log"; then
-    echo "simlint gate FAILED: warm rerun missed the module cache" >&2
-    cat "$detdir/simlint-warm.log" >&2
-    exit 1
-fi
-echo "clean; cold ${cold_ms}ms, warm ${warm_ms}ms (module cache hit)."
-
-# -fix idempotency smoke, against a throwaway module so the gate never
-# edits the repo: the suggested fix must lint clean, and a second -fix
-# pass must leave the file byte-identical.
-mkdir -p "$detdir/fixmod"
-printf 'module fixmod\n\ngo 1.21\n' >"$detdir/fixmod/go.mod"
-cat >"$detdir/fixmod/enum.go" <<'EOF'
-package fixmod
-
-type kind int
-
-const (
-	kA kind = iota
-	kB
-)
-
-func describe(k kind) int {
-	switch k {
-	case kA:
-		return 1
-	}
-	return 0
-}
-EOF
-(cd "$detdir/fixmod" && "$detdir/simlint" -fix ./...) >/dev/null 2>&1
-if ! grep -q 'case kB:' "$detdir/fixmod/enum.go"; then
-    echo "simlint gate FAILED: -fix did not insert the missing enum case" >&2
-    cat "$detdir/fixmod/enum.go" >&2
-    exit 1
-fi
-cp "$detdir/fixmod/enum.go" "$detdir/fixmod/enum.go.once"
-(cd "$detdir/fixmod" && "$detdir/simlint" -fix ./...) >/dev/null 2>&1
-if ! cmp -s "$detdir/fixmod/enum.go" "$detdir/fixmod/enum.go.once"; then
-    echo "simlint gate FAILED: second -fix pass was not a no-op" >&2
-    diff "$detdir/fixmod/enum.go.once" "$detdir/fixmod/enum.go" >&2 || true
-    exit 1
-fi
-echo "-fix resolves its own findings and is idempotent."
+"$detdir/simlint" ./...
+echo "clean."
 
 echo "== go build =="
 go build ./...
@@ -105,15 +43,6 @@ go test ./...
 
 echo "== go test -race =="
 go test -race ./...
-
-echo "== shard barrier stress: race detector x repeated runs =="
-# The PDES shard barrier (internal/sim ShardGroup) synchronises one OS
-# thread per shard every lookahead window. Repeated runs under the race
-# detector shake out ordering bugs a single pass can miss: handoff of
-# cross-shard messages, panic propagation, and the executed-event counts.
-go test ./internal/sim -race -run 'TestShardBarrierStress|TestShardGroupExecutedExact' \
-    -count=8 >/dev/null
-echo "barrier race-clean across 8 repetitions."
 
 echo "== determinism smoke: parallel == serial =="
 # The same quick experiments, serial (-jobs 1) and parallel (-jobs 8),

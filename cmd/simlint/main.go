@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	simlint [flags] [./...]
+//	simlint [-list] [./...]
 //
 // simlint always analyzes the whole enclosing module (found by walking up
 // from the working directory to go.mod); the package pattern argument is
@@ -18,16 +18,7 @@
 //
 //	//simlint:allow <rule>[,<rule>...] -- <reason>
 //
-// Flags:
-//
-//	-rules walltime,maprange,...  report only these rules
-//	-list                         list the available rules and exit
-//	-json FILE                    also write diagnostics as a simlint-diag/v1
-//	                              artifact (FILE of "-" means stdout)
-//	-fix                          apply machine-applicable fixes, then re-lint
-//	-baseline FILE                suppress findings recorded in FILE
-//	-write-baseline FILE          record current findings into FILE and exit 0
-//	-cache DIR                    reuse per-package results keyed by content hash
+// -list prints the available rules and exits.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 the tree failed to
 // load. The rules are documented in DESIGN.md ("Determinism rules" and
@@ -39,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"oversub/internal/analysis"
 )
@@ -49,17 +39,9 @@ func main() {
 }
 
 func run() int {
-	var (
-		rules         = flag.String("rules", "", "comma-separated rule subset to report (default: all)")
-		list          = flag.Bool("list", false, "list the available rules and exit")
-		jsonOut       = flag.String("json", "", "write diagnostics as a JSON artifact to this file (\"-\" = stdout)")
-		fix           = flag.Bool("fix", false, "apply machine-applicable fixes, then re-lint")
-		baseline      = flag.String("baseline", "", "suppress findings recorded in this baseline file")
-		writeBaseline = flag.String("write-baseline", "", "record current findings into this baseline file and exit")
-		cacheDir      = flag.String("cache", "", "cache per-package results in this directory, keyed by content hash")
-	)
+	list := flag.Bool("list", false, "list the available rules and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: simlint [flags] [./...]\n\nflags:\n")
+		fmt.Fprintf(os.Stderr, "usage: simlint [-list] [./...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -75,65 +57,9 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	cfg := analysis.Config{Root: root, CacheDir: *cacheDir}
-	res, err := analysis.Lint(cfg)
+	diags, err := analysis.LintModule(root)
 	if err != nil {
 		return fail(err)
-	}
-	if *cacheDir != "" {
-		fmt.Fprintf(os.Stderr, "simlint: cache module-hit=%v pkg-hits=%d\n", res.ModuleHit, res.PkgHits)
-	}
-	diags := filterRules(res.Diags, *rules)
-
-	if *writeBaseline != "" {
-		if err := writeArtifact(*writeBaseline, root, diags); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "simlint: wrote baseline with %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-
-	if *baseline != "" {
-		base, err := analysis.LoadBaseline(*baseline)
-		if err != nil {
-			return fail(err)
-		}
-		diags = analysis.FilterBaseline(diags, base)
-	}
-
-	if *fix {
-		changed, skipped, err := analysis.ApplyFixes(root, diags)
-		if err != nil {
-			return fail(err)
-		}
-		for _, f := range changed {
-			fmt.Fprintf(os.Stderr, "simlint: fixed %s\n", f)
-		}
-		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "simlint: %d overlapping edit(s) skipped; re-run -fix after review\n", skipped)
-		}
-		if len(changed) > 0 {
-			// Re-lint from scratch: fixes may have resolved (or in a
-			// pathological edit, shifted) other findings.
-			res, err = analysis.Lint(cfg)
-			if err != nil {
-				return fail(err)
-			}
-			diags = filterRules(res.Diags, *rules)
-			if *baseline != "" {
-				base, err := analysis.LoadBaseline(*baseline)
-				if err != nil {
-					return fail(err)
-				}
-				diags = analysis.FilterBaseline(diags, base)
-			}
-		}
-	}
-
-	if *jsonOut != "" {
-		if err := writeArtifact(*jsonOut, root, diags); err != nil {
-			return fail(err)
-		}
 	}
 	for _, d := range diags {
 		fmt.Println(d)
@@ -148,48 +74,6 @@ func run() int {
 func fail(err error) int {
 	fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 	return 2
-}
-
-// writeArtifact writes the simlint-diag/v1 JSON artifact to path ("-" =
-// stdout).
-func writeArtifact(path, root string, diags []analysis.Diagnostic) error {
-	module, err := analysis.ModulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return err
-	}
-	rep := analysis.NewReport(module, diags)
-	if path == "-" {
-		return analysis.WriteReport(os.Stdout, rep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := analysis.WriteReport(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// filterRules applies the -rules subset (empty = keep all).
-func filterRules(diags []analysis.Diagnostic, spec string) []analysis.Diagnostic {
-	if spec == "" {
-		return diags
-	}
-	set := map[string]bool{}
-	for _, r := range strings.Split(spec, ",") {
-		if r = strings.TrimSpace(r); r != "" {
-			set[r] = true
-		}
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		if set[d.Rule] {
-			kept = append(kept, d)
-		}
-	}
-	return kept
 }
 
 // moduleRoot walks up from the working directory to the nearest go.mod.

@@ -9,13 +9,13 @@
 // go/parser + go/types (stdlib only) and reports every construct that can
 // leak host nondeterminism into simulation results.
 //
-// v2 grows the suite from purely syntactic rules into a dataflow layer
-// (dataflow.go): a def-use index and a static call graph over the typed
-// AST feed interprocedural passes — seed taint tracking (seedtaint),
-// shared-mutable-state detection ahead of the PDES shard refactor
-// (sharedstate), and zero-alloc hot-path enforcement (hotpath) — plus
-// closed-enum exhaustiveness (kindswitch) and schema-tag registry checks
-// (schemalit). DESIGN.md §12 documents the architecture.
+// Beyond the syntactic rules, a dataflow layer (dataflow.go) — a def-use
+// index and a static call graph over the typed AST — feeds interprocedural
+// passes: seed taint tracking (seedtaint), package-level mutable state
+// that sharded fleet runs would share across engines (sharedstate,
+// shardsafe), and zero-alloc hot-path enforcement (hotpath). Closed-enum
+// exhaustiveness (kindswitch) and schema-tag registry checks (schemalit)
+// complete the suite. DESIGN.md §12 documents the architecture.
 //
 // Audited exceptions are annotated in the source:
 //
@@ -29,34 +29,10 @@ package analysis
 import (
 	"fmt"
 	"go/token"
-	"oversub/internal/schema"
 	"path/filepath"
 	"sort"
 	"strings"
 )
-
-// Version salts every cache fingerprint. Bump it whenever a rule's
-// behaviour changes, so stale cached diagnostics can never mask a new
-// violation (or keep reporting a fixed one).
-const Version = schema.SimlintV2
-
-// A TextEdit is one replacement of a byte range in one file. Start and End
-// are byte offsets into the file's current content; NewText replaces
-// [Start, End).
-type TextEdit struct {
-	File    string `json:"file"`
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	NewText string `json:"newText"`
-}
-
-// A SuggestedFix is a machine-applicable resolution of a diagnostic,
-// applied by simlint -fix. Only mechanical rules (kindswitch, schemalit)
-// attach fixes; judgement calls stay human.
-type SuggestedFix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
-}
 
 // A Diagnostic is one rule violation.
 type Diagnostic struct {
@@ -66,8 +42,6 @@ type Diagnostic struct {
 	Rule string
 	// Message explains the violation.
 	Message string
-	// Fix, if non-nil, resolves the diagnostic mechanically.
-	Fix *SuggestedFix
 }
 
 // String formats the diagnostic as "file:line:col: [rule] message".
@@ -89,15 +63,9 @@ type Analyzer struct {
 	Run func(*Pass)
 	// Finish, if non-nil, runs once after every package has been visited.
 	// Rules that need whole-module state (atomics, the dataflow passes)
-	// report from here; the pass it receives has no Pkg. An analyzer with
-	// a Finish hook is module-scope: its diagnostics live in the cache's
-	// module entry, never in per-package entries.
+	// report from here; the pass it receives has no Pkg.
 	Finish func(*Pass)
 }
-
-// ModuleScope reports whether the analyzer needs the whole module before
-// it can report (and therefore cannot be cached per package).
-func (a *Analyzer) ModuleScope() bool { return a.Finish != nil }
 
 // Analyzers returns the full simlint rule suite.
 func Analyzers() []*Analyzer {
@@ -134,20 +102,10 @@ type Pass struct {
 
 // Reportf records a diagnostic for the pass's rule at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportFix records a diagnostic carrying a machine-applicable fix.
-func (p *Pass) ReportFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
-	p.report(pos, fix, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
 	p.suite.diags = append(p.suite.diags, Diagnostic{
 		Pos:     p.Fset.Position(pos),
 		Rule:    p.rule.Name,
 		Message: fmt.Sprintf(format, args...),
-		Fix:     fix,
 	})
 }
 
@@ -183,10 +141,6 @@ type Suite struct {
 	bare     []token.Position // allow directives with no -- reason
 	unknown  []allowUnknown   // allow directives naming no known rule
 	diags    []Diagnostic
-	// skipRun marks package paths whose per-package (non-module-scope)
-	// analyzers are skipped because their diagnostics were served from the
-	// content-hash cache. Module-scope analyzers still visit them.
-	skipRun map[string]bool
 }
 
 // allowKey identifies one allow directive's reach: a rule allowed on one
@@ -212,14 +166,8 @@ func NewSuite(fset *token.FileSet, analyzers []*Analyzer, simScope func(string) 
 		state:     map[string]any{},
 		analyzed:  map[string]bool{},
 		allow:     map[allowKey]bool{},
-		skipRun:   map[string]bool{},
 	}
 }
-
-// SkipPackageRules marks a package path whose per-package analyzers must
-// not run (their diagnostics come from the cache). Module-scope analyzers
-// are unaffected: they need every package to report correctly.
-func (s *Suite) SkipPackageRules(path string) { s.skipRun[path] = true }
 
 // Run analyzes the packages in order and returns the surviving
 // diagnostics sorted by position then rule — deterministic output being
@@ -231,15 +179,8 @@ func (s *Suite) Run(pkgs []*Package) []Diagnostic {
 	for _, pkg := range pkgs {
 		s.collectAllows(pkg)
 		inScope := s.simScope(pkg.Path)
-		skip := s.skipRun[pkg.Path]
 		for _, a := range s.analyzers {
-			if a.SimScope && !inScope {
-				continue
-			}
-			if skip && !a.ModuleScope() {
-				continue
-			}
-			if a.Run == nil {
+			if a.Run == nil || (a.SimScope && !inScope) {
 				continue
 			}
 			a.Run(&Pass{Fset: s.fset, Pkg: pkg, SimScope: inScope, rule: a, suite: s})
@@ -346,72 +287,27 @@ func (s *Suite) allowed(d Diagnostic) bool {
 // suite with the derived sim scope. It returns the diagnostics (file
 // names relative to root) and any load error.
 func LintModule(root string) ([]Diagnostic, error) {
-	res, err := Lint(Config{Root: root})
+	modPath, err := ModulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
-	return res.Diags, nil
-}
-
-// Config parameterizes a module lint run.
-type Config struct {
-	// Root is the module root directory (holding go.mod).
-	Root string
-	// Analyzers overrides the rule suite (nil = Analyzers()).
-	Analyzers []*Analyzer
-	// CacheDir enables the per-package content-hash cache ("" = off).
-	CacheDir string
-}
-
-// Result is the outcome of a module lint run.
-type Result struct {
-	// Diags are the surviving diagnostics, file names relative to Root.
-	Diags []Diagnostic
-	// ModuleHit reports whether the whole run was served from the cache
-	// (no parsing or type checking happened at all).
-	ModuleHit bool
-	// PkgHits counts packages whose per-package diagnostics came from the
-	// cache on a partial hit.
-	PkgHits int
-}
-
-// Lint runs the analyzer suite over the module rooted at cfg.Root,
-// consulting the content-hash cache when configured.
-func Lint(cfg Config) (*Result, error) {
-	analyzers := cfg.Analyzers
-	if analyzers == nil {
-		analyzers = Analyzers()
-	}
-	modPath, err := ModulePath(filepath.Join(cfg.Root, "go.mod"))
+	loader := NewLoader(root, modPath)
+	pkgs, err := loader.LoadTree()
 	if err != nil {
 		return nil, err
 	}
-	var cache *Cache
-	if cfg.CacheDir != "" {
-		cache = NewCache(cfg.CacheDir)
-	}
-	res, err := lintWithCache(cfg.Root, modPath, analyzers, cache)
-	if err != nil {
-		return nil, err
-	}
-	for i := range res.Diags {
-		if rel, err := filepath.Rel(cfg.Root, res.Diags[i].Pos.Filename); err == nil {
-			res.Diags[i].Pos.Filename = rel
-		}
-		for j := range res.Diags[i].fixEdits() {
-			e := &res.Diags[i].Fix.Edits[j]
-			if rel, err := filepath.Rel(cfg.Root, e.File); err == nil {
-				e.File = rel
-			}
+	return lintLoaded(root, modPath, loader.Fset(), pkgs), nil
+}
+
+// lintLoaded runs the full suite over an already-loaded module tree and
+// makes the diagnostics' file names relative to root.
+func lintLoaded(root, modPath string, fset *token.FileSet, pkgs []*Package) []Diagnostic {
+	diags := NewSuite(fset, Analyzers(), DeriveSimScope(modPath, pkgs)).Run(pkgs)
+	for i := range diags {
+		if rel, err := filepath.Rel(root, diags[i].Pos.Filename); err == nil {
+			diags[i].Pos.Filename = rel
 		}
 	}
-	SortDiagnostics(res.Diags)
-	return res, nil
-}
-
-func (d *Diagnostic) fixEdits() []TextEdit {
-	if d.Fix == nil {
-		return nil
-	}
-	return d.Fix.Edits
+	SortDiagnostics(diags)
+	return diags
 }

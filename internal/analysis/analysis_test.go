@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -18,14 +19,23 @@ import (
 // Regexes match against the "[rule] message" rendering, so fixtures pin
 // the rule as well as the text.
 
-// testdataLoader loads one fixture package with every analyzer in scope.
+// fixtures is the one loader every corpus test shares: fixture packages
+// and the GOROOT sources they import are parsed and type-checked once per
+// test binary.
+var fixtures struct {
+	once   sync.Once
+	loader *Loader
+}
+
+// testdataLoader returns the shared fixture loader.
 func testdataLoader(t *testing.T) *Loader {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("testdata", "src"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewLoader(root, "")
+	fixtures.once.Do(func() { fixtures.loader = NewLoader(root, "") })
+	return fixtures.loader
 }
 
 func runOn(t *testing.T, l *Loader, pkgPath string, simScope bool) (*Package, []Diagnostic) {
@@ -155,8 +165,7 @@ func TestScopeGating(t *testing.T) {
 		t.Fatalf("out-of-scope package: got rules %v, want exactly [walltime] (sim-scope rules must not fire)", rules)
 	}
 
-	l2 := testdataLoader(t)
-	_, diags = runOn(t, l2, "scoped", true)
+	_, diags = runOn(t, l, "scoped", true)
 	byRule := map[string]int{}
 	for _, d := range diags {
 		byRule[d.Rule]++
@@ -170,12 +179,7 @@ func TestScopeGating(t *testing.T) {
 // repository's import graph: everything that transitively links against
 // internal/sim is in, plus every command; the audited exclusions are out.
 func TestDeriveSimScope(t *testing.T) {
-	root := moduleRootForTest(t)
-	loader := NewLoader(root, "oversub")
-	pkgs, err := loader.LoadTree()
-	if err != nil {
-		t.Fatalf("load real tree: %v", err)
-	}
+	_, pkgs := loadRealTree(t)
 	in := DeriveSimScope("oversub", pkgs)
 	for _, path := range []string{
 		"oversub", // the facade re-exports engine types; its output is harvested
@@ -210,12 +214,7 @@ func TestDeriveSimScope(t *testing.T) {
 // the loader skips, the determinism rules would silently stop checking the
 // policy hot paths while the scope test above kept passing.
 func TestSimScopeSeesPolicyFiles(t *testing.T) {
-	root := moduleRootForTest(t)
-	loader := NewLoader(root, "oversub")
-	pkgs, err := loader.LoadTree()
-	if err != nil {
-		t.Fatalf("load real tree: %v", err)
-	}
+	loader, pkgs := loadRealTree(t)
 	var sched *Package
 	for _, pkg := range pkgs {
 		if pkg.Path == "oversub/internal/sched" {
@@ -251,12 +250,11 @@ func TestSimScopeSeesPolicyFiles(t *testing.T) {
 		byPath[pkg.Path] = pkg
 	}
 	for path, files := range map[string][]string{
-		"oversub/internal/trace":   {"blame.go", "oracle.go", "analytics.go", "chrome.go"},
+		"oversub/internal/trace": {"blame.go", "oracle.go", "analytics.go", "chrome.go"},
+		// Fleet sharding runs several engines at once: its files are
+		// precisely the code sharedstate and shardsafe exist to police.
 		"oversub/internal/cluster": {"observe.go", "cluster.go", "shard.go"},
-		// The PDES shard engine: its files host the goroutine fan-out and
-		// the cross-shard delivery logic — precisely the code gostmt,
-		// sharedstate, and shardsafe exist to police.
-		"oversub/internal/sim": {"shard.go", "engine.go", "rng.go"},
+		"oversub/internal/sim":     {"engine.go", "rng.go"},
 	} {
 		pkg := byPath[path]
 		if pkg == nil {
@@ -281,12 +279,7 @@ func TestSimScopeSeesPolicyFiles(t *testing.T) {
 // every entry carries a reason and still matches at least one loaded
 // package — a dead entry is a stale audit that must be deleted.
 func TestScopeExcludesAreLive(t *testing.T) {
-	root := moduleRootForTest(t)
-	loader := NewLoader(root, "oversub")
-	pkgs, err := loader.LoadTree()
-	if err != nil {
-		t.Fatalf("load real tree: %v", err)
-	}
+	_, pkgs := loadRealTree(t)
 	for _, ex := range simScopeExcludes {
 		if strings.TrimSpace(ex.Reason) == "" {
 			t.Errorf("exclude %q has no reason: every tolerated nondeterminism must be audited", ex.Path)

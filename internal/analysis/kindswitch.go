@@ -21,13 +21,12 @@ import (
 // switch over a closed enum with no default clause must cover every member
 // (compared by constant value, so aliases count once).
 //
-// The rule carries a machine-applicable fix: an empty "case A, B:" clause
-// for the missing members, inserted before the switch's closing brace. An
-// empty case is semantically identical to an unmatched value falling
-// through the switch, so -fix never changes behaviour — it converts the
-// silent gap into an explicit, reviewable line. Partial coverage that is
-// genuinely intended is declared with a default clause (even an empty
-// one), which exempts the switch.
+// The diagnostic names the missing members, qualified as the file would
+// spell them, so the remedy is a paste: an empty "case A, B:" clause is
+// semantically identical to an unmatched value falling through the switch
+// and turns the silent gap into an explicit, reviewable line. Partial
+// coverage that is genuinely intended is declared with a default clause
+// (even an empty one), which exempts the switch.
 var KindSwitch = &Analyzer{
 	Name: "kindswitch",
 	Doc:  "switches over closed enums (trace.Kind, ...) must cover every member or declare a default",
@@ -154,17 +153,7 @@ func checkEnumSwitch(pass *Pass, file *ast.File, sw *ast.SwitchStmt, tn *types.T
 	if qual != "" {
 		enumName = qual + enumName
 	}
-	brace := pass.Fset.Position(sw.Body.Rbrace)
-	fix := &SuggestedFix{
-		Message: "add an empty case for the missing members (no behaviour change; makes the gap explicit)",
-		Edits: []TextEdit{{
-			File:    brace.Filename,
-			Start:   brace.Offset,
-			End:     brace.Offset,
-			NewText: "case " + strings.Join(names, ", ") + ":\n",
-		}},
-	}
-	pass.ReportFix(sw.Switch, fix,
+	pass.Reportf(sw.Switch,
 		"switch over %s has no default clause and misses %s: cover every member, or declare intended partial coverage with a default",
 		enumName, strings.Join(names, ", "))
 }

@@ -13,8 +13,8 @@ import (
 
 // SchemaLit forces every schema tag — the "name/vN" version strings
 // stamped into JSON artifacts (bench reports, metrics exports, fleet
-// summaries, the hpdc21 result cache, simlint's own diagnostics) — to be
-// a named constant in a schema registry package. A schema tag spelled
+// summaries, the hpdc21 result cache, diff reports) — to be a named
+// constant in a schema registry package. A schema tag spelled
 // inline is how two writers drift: the reader greps for one spelling, the
 // writer bumps the other, and a version check silently never fires. With
 // a single registry (internal/schema), bumping a version is a one-line
@@ -26,9 +26,8 @@ import (
 // is any analyzed package whose import path ends in "/schema" (or is
 // "schema"); literals inside it are the declarations themselves.
 //
-// The rule carries a machine-applicable fix when the registry already
-// declares a constant with the literal's exact value: replace the literal
-// with the qualified constant and add the registry import if missing.
+// When the registry already declares a constant with the literal's exact
+// value, the diagnostic names it ("use schema.FleetV1").
 var SchemaLit = &Analyzer{
 	Name:   "schemalit",
 	Doc:    "schema version tags must be named constants in the schema registry package",
@@ -42,15 +41,12 @@ var schemaTagRE = regexp.MustCompile(`^[a-z][a-z0-9-]*/v[0-9]+$`)
 
 // schemaSite is one schema-tag literal outside the registry.
 type schemaSite struct {
-	pkg  *Package
-	file *ast.File
-	lit  *ast.BasicLit
-	val  string
+	lit *ast.BasicLit
+	val string
 }
 
 // schemaRegistry is one registry package's constant table.
 type schemaRegistry struct {
-	path string
 	name string
 	// consts maps tag value -> constant name (first in name order).
 	consts map[string]string
@@ -72,7 +68,7 @@ func runSchemaLit(pass *Pass) {
 	pkg := pass.Pkg
 
 	if isSchemaRegistryPath(pkg.Path) {
-		reg := schemaRegistry{path: pkg.Path, name: pkg.Types.Name(), consts: map[string]string{}}
+		reg := schemaRegistry{name: pkg.Types.Name(), consts: map[string]string{}}
 		scope := pkg.Types.Scope()
 		names := scope.Names()
 		sort.Strings(names)
@@ -92,7 +88,6 @@ func runSchemaLit(pass *Pass) {
 	}
 
 	for _, f := range pkg.Files {
-		file := f
 		ast.Inspect(f, func(n ast.Node) bool {
 			if _, ok := n.(*ast.ImportSpec); ok {
 				return false // import paths are not schema tags
@@ -105,7 +100,7 @@ func runSchemaLit(pass *Pass) {
 			if err != nil || !schemaTagRE.MatchString(val) {
 				return true
 			}
-			st.sites = append(st.sites, schemaSite{pkg: pkg, file: file, lit: lit, val: val})
+			st.sites = append(st.sites, schemaSite{lit: lit, val: val})
 			return true
 		})
 	}
@@ -117,86 +112,15 @@ func finishSchemaLit(pass *Pass) {
 		return
 	}
 	for _, site := range st.sites {
-		var fix *SuggestedFix
 		hint := "declare it in the schema registry package and reference the constant"
 		for _, reg := range st.registries {
-			name, ok := reg.consts[site.val]
-			if !ok {
-				continue
+			if name, ok := reg.consts[site.val]; ok {
+				hint = "use " + reg.name + "." + name
+				break
 			}
-			hint = "use " + reg.name + "." + name
-			fix = schemaFix(pass, site, reg, name)
-			break
 		}
-		pass.ReportFix(site.lit.Pos(), fix,
+		pass.Reportf(site.lit.Pos(),
 			"schema tag %s is spelled inline: version strings drift unless every writer and reader shares one registry constant — %s",
 			site.lit.Value, hint)
 	}
-}
-
-// schemaFix builds the literal -> qualified-constant replacement, adding
-// the registry import when the file does not already have it.
-func schemaFix(pass *Pass, site schemaSite, reg schemaRegistry, constName string) *SuggestedFix {
-	qual := reg.name
-	importNeeded := true
-	for _, imp := range site.file.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || path != reg.path {
-			continue
-		}
-		importNeeded = false
-		if imp.Name != nil {
-			if imp.Name.Name == "." {
-				qual = ""
-			} else {
-				qual = imp.Name.Name
-			}
-		}
-		break
-	}
-	ref := constName
-	if qual != "" {
-		ref = qual + "." + constName
-	}
-	lo := pass.Fset.Position(site.lit.Pos())
-	hi := pass.Fset.Position(site.lit.End())
-	fix := &SuggestedFix{
-		Message: "replace the inline tag with the registry constant",
-		Edits: []TextEdit{{
-			File:    lo.Filename,
-			Start:   lo.Offset,
-			End:     hi.Offset,
-			NewText: ref,
-		}},
-	}
-	if importNeeded {
-		if e, ok := importEdit(pass, site.file, reg.path); ok {
-			fix.Edits = append(fix.Edits, e)
-		} else {
-			return nil // cannot place the import mechanically; leave it to a human
-		}
-	}
-	return fix
-}
-
-// importEdit builds an edit inserting an import of path into file: after
-// the last spec of the first import declaration, or as a new import
-// declaration after the package clause.
-func importEdit(pass *Pass, file *ast.File, path string) (TextEdit, bool) {
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			continue
-		}
-		if len(gd.Specs) == 0 || !gd.Lparen.IsValid() {
-			break // single-import form; fall through to a new declaration
-		}
-		last := gd.Specs[len(gd.Specs)-1]
-		p := pass.Fset.Position(last.End())
-		return TextEdit{File: p.Filename, Start: p.Offset, End: p.Offset,
-			NewText: "\n\t" + strconv.Quote(path)}, true
-	}
-	p := pass.Fset.Position(file.Name.End())
-	return TextEdit{File: p.Filename, Start: p.Offset, End: p.Offset,
-		NewText: "\n\nimport " + strconv.Quote(path)}, true
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"strconv"
 	"strings"
 )
@@ -100,24 +99,6 @@ func packageImports(pkg *Package) []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, f := range pkg.Files {
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil || seen[path] {
-				continue
-			}
-			seen[path] = true
-			out = append(out, path)
-		}
-	}
-	return out
-}
-
-// importsOf is packageImports for a bare file set, used by the cache's
-// load-free scanner.
-func importsOf(files []*ast.File) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range files {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil || seen[path] {

@@ -9,11 +9,11 @@ import (
 // calls. sharedstate flags package-level vars with direct write evidence
 // (assignment, ++, element store, &v escaping), but a pointer-receiver
 // method call — sigCounter.Add(1) — mutates the var through an implicit
-// &v that never appears in the source as an address-taking. Under sharded
-// execution (internal/sim.ShardGroup, cluster fleet sharding) such a call
-// is a cross-shard data race and a determinism leak exactly like a plain
-// write, so simulation-scope code may not touch package-level vars
-// through pointer-receiver methods at all.
+// &v that never appears in the source as an address-taking. Sharded fleet
+// runs (cluster.FleetConfig.Shards) execute several engines at once in one
+// process, so such a call is a cross-shard data race and a determinism
+// leak exactly like a plain write; simulation-scope code may not touch
+// package-level vars through pointer-receiver methods at all.
 //
 // The rule is conservative on purpose: it cannot tell a mutating call
 // (Add) from a read (Load), and flags both — state whose reads are only
@@ -24,7 +24,7 @@ import (
 // lookup tables stay legal, as in sharedstate.
 var ShardSafe = &Analyzer{
 	Name:     "shardsafe",
-	Doc:      "forbid pointer-receiver method calls on package-level vars in simulation scope (hidden cross-shard mutation under PDES sharding)",
+	Doc:      "forbid pointer-receiver method calls on package-level vars in simulation scope (hidden cross-shard mutation under fleet sharding)",
 	SimScope: true,
 	Run:      runShardSafe,
 }

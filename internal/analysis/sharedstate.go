@@ -8,10 +8,10 @@ import (
 	"sort"
 )
 
-// SharedState flags mutable package-level state in simulation scope — the
-// precondition audit for sharding internal/sim (ROADMAP item 1): once
-// per-shard event queues execute concurrently, any package-level variable
-// that simulation code writes is a cross-shard race and a determinism
+// SharedState flags mutable package-level state in simulation scope. Both
+// the runner's parallel experiment fleets and sharded fleet runs execute
+// several engines in one process at once, so any package-level variable
+// that simulation code writes is a cross-engine race and a determinism
 // leak, invisible to the per-run seed threading.
 //
 // A package-level var is "mutable" when the module contains evidence of
@@ -26,7 +26,7 @@ import (
 // sim-scope packages are reported.
 var SharedState = &Analyzer{
 	Name:   "sharedstate",
-	Doc:    "forbid mutable package-level state in simulation scope (cross-shard races under PDES sharding)",
+	Doc:    "forbid mutable package-level state in simulation scope (cross-shard races under fleet sharding)",
 	Run:    runSharedState,
 	Finish: finishSharedState,
 }

@@ -92,8 +92,8 @@ type FleetConfig struct {
 	// a pure host-execution knob: excluded from result-cache fingerprints
 	// (json:"-") and legal to flip on any cached experiment. 0 or 1 runs
 	// serially. Sharding requires a replicable dispatcher; with jsq/ewma
-	// (whose picks read completion state the shards cannot know under
-	// lookahead) the run silently falls back to serial. See DESIGN.md §15.
+	// (whose picks read completion state held by other shards) the run
+	// silently falls back to serial. See DESIGN.md §15.
 	Shards int `json:"-"`
 	// TracerFor, when non-nil, supplies a per-machine tracer (nil return
 	// = untraced machine). Observation-only; excluded from result-cache

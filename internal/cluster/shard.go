@@ -1,8 +1,8 @@
-// Sharded fleet execution: the "embarrassingly shardable" level of the
-// PDES roadmap. Machines in a fleet never exchange simulation events —
-// they interact only through the front-end driver (arrival generators +
-// dispatcher) — so the fleet shards by machine with *infinite* lookahead:
-// every shard runs the whole horizon as one window, no null messages.
+// Sharded fleet execution. Machines in a fleet never exchange simulation
+// events — they interact only through the front-end driver (arrival
+// generators + dispatcher) — so the fleet shards by machine with no
+// synchronization at all: every shard engine runs the whole horizon as one
+// independent internal/runner job, and the results merge once at the end.
 //
 // Determinism comes from the replicated-driver construction rather than
 // cross-shard synchronization. Every shard gets its own engine built with
@@ -29,8 +29,11 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
+	"oversub/internal/runner"
 	"oversub/internal/sim"
 )
 
@@ -68,13 +71,36 @@ func runSharded(cfg FleetConfig, k int) (*FleetResult, error) {
 		reps[s] = f
 	}
 
-	grp := sim.NewShardGroup(engines)
 	for _, f := range reps {
 		f.start()
 	}
-	// Machines exchange no cross-shard events: infinite lookahead, one
-	// window, shards in parallel up to GOMAXPROCS.
-	grp.Run(reps[0].end, 0, k)
+	// Machines exchange no cross-shard events, so each shard engine runs to
+	// the horizon as its own runner job. The pool returns results in
+	// submission order and captures panics; the lowest-index shard's failure
+	// is re-raised, so a simulation bug surfaces the same way on every run.
+	jobs := make([]runner.Job, k)
+	for s := range jobs {
+		e, end := engines[s], reps[s].end
+		jobs[s] = runner.Job{
+			Label: fmt.Sprintf("shard %d", s),
+			Fn: func(context.Context) (any, error) {
+				e.Run(end)
+				return nil, nil
+			},
+		}
+	}
+	pool := runner.New(k)
+	results := pool.Map(context.Background(), jobs)
+	pool.Close()
+	for _, r := range results {
+		var pe *runner.PanicError
+		if errors.As(r.Err, &pe) {
+			panic(pe.Value)
+		}
+		if r.Err != nil {
+			return nil, r.Err
+		}
+	}
 	for _, f := range reps {
 		f.stop()
 	}

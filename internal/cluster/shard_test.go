@@ -265,6 +265,38 @@ func TestShardedMetricsMatchSerial(t *testing.T) {
 	}
 }
 
+// panicSampler panics on its first sample, naming its machine.
+type panicSampler struct{ m int }
+
+func (p panicSampler) SampleInterval() sim.Duration { return 100 * sim.Microsecond }
+
+func (p panicSampler) Sample(*sched.Kernel, sim.Time) {
+	panic(fmt.Sprintf("sampler panic on machine %d", p.m))
+}
+
+// TestShardedPanicPropagates: a panic on a shard engine must surface from
+// Run rather than crash an anonymous goroutine, and when several shards
+// fail, the lowest-index shard's panic is the one re-raised.
+func TestShardedPanicPropagates(t *testing.T) {
+	cfg := smallFleet(3, 5)
+	cfg.Policy = "rr"
+	cfg.Duration = 20 * sim.Millisecond
+	cfg.Shards = 3
+	cfg.SamplerFor = func(m int) sched.Sampler {
+		if m == 0 {
+			return nil
+		}
+		return panicSampler{m}
+	}
+	const want = "sampler panic on machine 1"
+	defer func() {
+		if r := recover(); r != want {
+			t.Fatalf("recovered %v, want %q", r, want)
+		}
+	}()
+	_, _ = Run(cfg)
+}
+
 // TestNonReplicableDispatcherFallsBack: jsq and ewma picks depend on
 // completion feedback that only the owning shard observes, so sharding
 // must silently fall back to serial — same bytes, no error — rather than

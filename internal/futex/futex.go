@@ -20,8 +20,6 @@
 package futex
 
 import (
-	"fmt"
-
 	"oversub/internal/sched"
 	"oversub/internal/sim"
 )
@@ -331,12 +329,6 @@ func (f *Futex) popWaiters(t *sched.Thread, n int, moveCost sim.Duration) []wake
 	}
 	f.b.waiters = kept
 	return popped
-}
-
-// DebugBucket reports the futex's bucket state for diagnostics.
-func (f *Futex) DebugBucket() string {
-	return fmt.Sprintf("word=%d waiters=%d bucketWaiters=%d lock[%s]",
-		f.Word.Load(), f.Waiters(), len(f.b.waiters), f.b.lock.Debug())
 }
 
 // WaitTimeout is Wait with a relative timeout, as FUTEX_WAIT with a

@@ -34,15 +34,8 @@ func (l *LBR) Clear() {
 	l.entries = [LBREntries]BranchRecord{}
 }
 
-// Record appends one branch.
-func (l *LBR) Record(b BranchRecord) {
-	l.entries[l.pos] = b
-	l.pos = (l.pos + 1) % LBREntries
-	l.total++
-}
-
 // RecordRepeated appends the same branch n times (a spin loop retiring n
-// iterations). It is equivalent to n calls of Record but O(1).
+// iterations) in O(1): only the last LBREntries records survive.
 func (l *LBR) RecordRepeated(b BranchRecord, n uint64) {
 	if n == 0 {
 		return
@@ -133,13 +126,6 @@ type ExecProfile struct {
 // instructions, one dTLB miss per 890 instructions.
 func PaperMeanProfile() ExecProfile {
 	return ExecProfile{InstPerUS: 3000, InstPerL1Miss: 45, InstPerTLBMiss: 890, InstPerBranch: 6}
-}
-
-// TightLoopProfile is a compute phase that looks like a spin loop to the
-// PMCs: branchy, and touching no memory beyond registers and L1-resident
-// data. Rare phases like this are the source of BWD's false positives.
-func TightLoopProfile() ExecProfile {
-	return ExecProfile{InstPerUS: 3500, InstPerBranch: 4}
 }
 
 // SpinSig describes a busy-wait loop implementation: the closing backward

@@ -92,9 +92,6 @@ func NewTeam(tbl *futex.Table, n int) *Team {
 	return tm
 }
 
-// Size returns the team's thread count.
-func (tm *Team) Size() int { return tm.n }
-
 // workerLoop waits for regions and executes the worker's share of each.
 func (tm *Team) workerLoop(t *sched.Thread, worker int) {
 	epoch := uint64(0)

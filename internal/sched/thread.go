@@ -187,9 +187,6 @@ func (t *Thread) SetRelDeadline(d sim.Duration) {
 	t.relDeadline = d
 }
 
-// RelDeadline returns the thread's relative deadline (0 = policy default).
-func (t *Thread) RelDeadline() sim.Duration { return t.relDeadline }
-
 // loadWeight returns the CFS weight (1024 at nice 0).
 func (t *Thread) loadWeight() int64 {
 	if t.weight == 0 {

@@ -1,7 +1,7 @@
 // Package schema is the registry of artifact schema tags — the "name/vN"
 // version strings stamped into every JSON artifact the repo writes
 // (bench reports, metrics exports, fleet summaries, the hpdc21 result
-// cache, simlint diagnostics).
+// cache, diff reports).
 //
 // The schemalit analyzer forbids spelling these tags inline anywhere
 // else in the module: a tag that exists in exactly one place cannot
@@ -22,9 +22,4 @@ const (
 	HPDC21CacheV4 = "hpdc21/v4"
 	// DiffV1 tags internal/diff cross-run differential reports.
 	DiffV1 = "oversub-diff/v1"
-	// DiagV1 tags simlint JSON diagnostic artifacts and baselines.
-	DiagV1 = "simlint-diag/v1"
-	// SimlintV2 is the simlint analyzer-suite version, salting the
-	// analyzer result cache.
-	SimlintV2 = "simlint/v2"
 )

@@ -238,38 +238,6 @@ func (e *Engine) AfterCall(d Duration, fn func(arg any, a, b uint64), arg any, a
 	return e.AtCall(e.now.Add(d), fn, arg, a, b)
 }
 
-// NextAt returns the time of the earliest queued event, merging the
-// zero-delay ring with the heap, without consuming it. The shard scheduler
-// uses it to compute the fleet-wide lookahead window.
-func (e *Engine) NextAt() (Time, bool) {
-	f := e.fifoFront()
-	if len(e.heap) > 0 {
-		t := e.heap[0].at
-		if f != nil && f.at < t {
-			t = f.at
-		}
-		return t, true
-	}
-	if f != nil {
-		return f.at, true
-	}
-	return 0, false
-}
-
-// AdvanceTo moves an idle clock forward to t without executing anything.
-// It panics if t is in the past or if any queued event would be skipped:
-// advancing over a pending event would execute it late and break the
-// (time, sequence) total order.
-func (e *Engine) AdvanceTo(t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: AdvanceTo into the past: %v < now %v", t, e.now))
-	}
-	if next, ok := e.NextAt(); ok && next <= t {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) would skip the event queued at %v", t, next))
-	}
-	e.now = t
-}
-
 // Stop halts Run after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 

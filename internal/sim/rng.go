@@ -13,24 +13,6 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed + 0x9E3779B97F4A7C15}
 }
 
-// NewRandStream returns one member of a seed-keyed family of independent
-// sources, for per-shard RNG streams under sharded execution. Stream 0 is
-// the identity: NewRandStream(seed, 0) draws exactly the sequence
-// NewRand(seed) always has, so code that runs unsharded — or sharded with
-// one shard — sees the historical stream bit-for-bit (pinned by
-// TestRandStreamZeroIsIdentity). Nonzero streams finalize the stream index
-// into the seed with the splitmix64 mixer, the same avalanche Uint64 uses,
-// so adjacent streams share no visible structure.
-func NewRandStream(seed uint64, stream int) *Rand {
-	if stream == 0 {
-		return NewRand(seed)
-	}
-	z := seed + uint64(stream)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return NewRand(z ^ (z >> 31))
-}
-
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9E3779B97F4A7C15
@@ -46,11 +28,6 @@ func (r *Rand) Intn(n int) int {
 		panic("sim: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Int63 returns a non-negative 63-bit integer.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
 }
 
 // Float64 returns a uniform float64 in [0, 1).

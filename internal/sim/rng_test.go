@@ -15,6 +15,19 @@ func TestRandDeterministic(t *testing.T) {
 	}
 }
 
+// TestNewRandHistoricalSequence pins NewRand's draw sequence as constants:
+// if it ever changes, every golden artifact in the repo is invalidated, and
+// this failure names the cause directly.
+func TestNewRandHistoricalSequence(t *testing.T) {
+	r := NewRand(7)
+	want := []uint64{0x44c3cd7f43c661c, 0xe6984080bab12a02, 0x953aeb70673e29cb, 0x73d33b666a1e21da}
+	for i, w := range want {
+		if g := r.Uint64(); g != w {
+			t.Fatalf("NewRand(7) draw %d = %#x, want %#x (historical splitmix64 sequence)", i, g, w)
+		}
+	}
+}
+
 func TestRandSeedsDiffer(t *testing.T) {
 	a, b := NewRand(1), NewRand(2)
 	same := 0

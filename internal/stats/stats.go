@@ -167,33 +167,3 @@ func (s *Series) Max() float64 {
 	}
 	return max
 }
-
-// Histogram builds fixed-width bucket counts over duration samples, used
-// by the Figure 3 sync-interval distribution.
-type Histogram struct {
-	Width   sim.Duration
-	Buckets []int
-	total   int
-}
-
-// NewHistogram creates a histogram with the given bucket width and count;
-// samples beyond the last bucket are clamped into it.
-func NewHistogram(width sim.Duration, buckets int) *Histogram {
-	return &Histogram{Width: width, Buckets: make([]int, buckets)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(d sim.Duration) {
-	idx := int(d / h.Width)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
-	h.total++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }

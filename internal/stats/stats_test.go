@@ -134,16 +134,3 @@ func TestSeriesDegenerate(t *testing.T) {
 		t.Error("single sample stddev should be 0")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(100*sim.Microsecond, 10)
-	h.Add(50 * sim.Microsecond)   // bucket 0
-	h.Add(150 * sim.Microsecond)  // bucket 1
-	h.Add(5000 * sim.Microsecond) // clamped to bucket 9
-	if h.Buckets[0] != 1 || h.Buckets[1] != 1 || h.Buckets[9] != 1 {
-		t.Errorf("buckets = %v", h.Buckets)
-	}
-	if h.Total() != 3 {
-		t.Errorf("Total = %d, want 3", h.Total())
-	}
-}
