@@ -8,7 +8,7 @@ import (
 )
 
 // Benchmark-suite sub-API: the paper's evaluation workloads, re-exported
-// for examples, the cmd/hpdc21 experiment runner, and the bench harness.
+// for examples, the cmd/hpdc21 experiment runner, and the benchmark/ module.
 type (
 	// BenchSpec describes one suite program (PARSEC/SPLASH-2/NPB model).
 	BenchSpec = workload.Spec

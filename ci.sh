@@ -4,7 +4,8 @@
 # test also runs under -race), a determinism smoke test proving that a
 # parallel experiment fleet is byte-identical to a serial one, and a
 # sharded-fleet smoke proving that splitting one fleet run across shard
-# engines (-shards) is byte-identical to serial execution.
+# engines (-shards) is byte-identical to serial execution. The benchmark
+# module's own tests pin its workload cells' golden digests.
 set -eu
 
 cd "$(dirname "$0")"
@@ -58,13 +59,12 @@ fi
 echo "parallel output byte-identical to serial."
 
 echo "== trace smoke: oracle + summary determinism =="
-# A quick traced workload runs through the trace-invariant oracle (oversim
-# exits nonzero on any lifecycle violation), and two identical-seed runs
-# must produce byte-identical analytics summaries.
-go build -o "$detdir/oversim" ./cmd/oversim
-"$detdir/oversim" -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
+# A quick traced workload runs through the trace-invariant oracle (hpdc21
+# run exits nonzero on any lifecycle violation), and two identical-seed
+# runs must produce byte-identical analytics summaries.
+"$detdir/hpdc21" run -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
     -trace "$detdir/trace1.txt" -trace-format summary >/dev/null
-"$detdir/oversim" -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
+"$detdir/hpdc21" run -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
     -trace "$detdir/trace2.txt" -trace-format summary >/dev/null
 if ! cmp -s "$detdir/trace1.txt" "$detdir/trace2.txt"; then
     echo "trace smoke FAILED: identical seeds produced different summaries" >&2
@@ -75,20 +75,20 @@ echo "trace oracle clean; summary byte-identical across identical seeds."
 
 echo "== policy smoke: policy x feature matrix, oracle + determinism =="
 # Every scheduling policy runs the headline workload under every feature
-# cell with full tracing — oversim validates each stream against the
+# cell with full tracing — hpdc21 run validates each stream against the
 # trace-invariant oracle and exits nonzero on any lifecycle violation —
 # and each policy's repetition batch must be byte-identical between a
 # serial (-jobs 1) and a parallel (-jobs 8) pool.
 for pol in cfs edf shinjuku oracle; do
     for feat in "" "-vb" "-bwd" "-vb -bwd"; do
         # shellcheck disable=SC2086 -- $feat is a flag list, split wanted
-        "$detdir/oversim" -bench streamcluster -threads 16 -cores 4 $feat \
+        "$detdir/hpdc21" run -bench streamcluster -threads 16 -cores 4 $feat \
             -scale 0.05 -policy "$pol" \
             -trace "$detdir/poltrace.txt" -trace-format summary >/dev/null
     done
-    "$detdir/oversim" -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
+    "$detdir/hpdc21" run -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
         -policy "$pol" -reps 4 -jobs 1 >"$detdir/pol-$pol-serial.txt"
-    "$detdir/oversim" -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
+    "$detdir/hpdc21" run -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
         -policy "$pol" -reps 4 -jobs 8 >"$detdir/pol-$pol-par.txt"
     if ! cmp -s "$detdir/pol-$pol-serial.txt" "$detdir/pol-$pol-par.txt"; then
         echo "policy smoke FAILED: $pol parallel reps differ from serial" >&2
@@ -102,9 +102,9 @@ echo "== metrics smoke: time-series determinism =="
 # Two identical-seed runs with the time-series sampler attached must
 # export byte-identical summaries: sampling is driven purely by sim time
 # and the export is a pure function of the sample stream.
-"$detdir/oversim" -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
+"$detdir/hpdc21" run -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
     -metrics "$detdir/metrics1.txt" -metrics-format summary >/dev/null
-"$detdir/oversim" -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
+"$detdir/hpdc21" run -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
     -metrics "$detdir/metrics2.txt" -metrics-format summary >/dev/null
 if ! cmp -s "$detdir/metrics1.txt" "$detdir/metrics2.txt"; then
     echo "metrics smoke FAILED: identical seeds produced different series" >&2
@@ -141,10 +141,10 @@ echo "== fleet smoke: schema + cross-pool determinism =="
 # identical seeds; the rendered table and the oversub-fleet/v1 JSON report
 # must be byte-identical, and the report must carry the schema tag (the
 # CLI validates the envelope before writing and exits nonzero otherwise).
-"$detdir/oversim" -fleet 1,2 -fleet-qps 20000 -fleet-duration 200 \
+"$detdir/hpdc21" run -fleet 1,2 -fleet-qps 20000 -fleet-duration 200 \
     -fleet-policies jsq -fleet-variants vanilla,vb+bwd -seed 11 -jobs 1 \
     -fleet-out "$detdir/fleet1.json" | grep -v '^wrote ' >"$detdir/fleet1.txt"
-"$detdir/oversim" -fleet 1,2 -fleet-qps 20000 -fleet-duration 200 \
+"$detdir/hpdc21" run -fleet 1,2 -fleet-qps 20000 -fleet-duration 200 \
     -fleet-policies jsq -fleet-variants vanilla,vb+bwd -seed 11 -jobs 8 \
     -fleet-out "$detdir/fleet2.json" | grep -v '^wrote ' >"$detdir/fleet2.txt"
 if ! cmp -s "$detdir/fleet1.txt" "$detdir/fleet2.txt"; then
@@ -167,10 +167,10 @@ echo "== sharded-fleet smoke: -shards N byte-identical to serial =="
 # The same fleet sweep split across four concurrently executing shard
 # engines must render the exact table and JSON report serial execution
 # does: sharding is a host-execution knob, never an experiment parameter.
-"$detdir/oversim" -fleet 1,3 -fleet-qps 20000 -fleet-duration 200 \
+"$detdir/hpdc21" run -fleet 1,3 -fleet-qps 20000 -fleet-duration 200 \
     -fleet-variants vanilla,vb+bwd -seed 11 -shards 4 \
     -fleet-out "$detdir/fleet-sh.json" | grep -v '^wrote ' >"$detdir/fleet-sh.txt"
-"$detdir/oversim" -fleet 1,3 -fleet-qps 20000 -fleet-duration 200 \
+"$detdir/hpdc21" run -fleet 1,3 -fleet-qps 20000 -fleet-duration 200 \
     -fleet-variants vanilla,vb+bwd -seed 11 \
     -fleet-out "$detdir/fleet-serial.json" | grep -v '^wrote ' >"$detdir/fleet-serial.txt"
 if ! cmp -s "$detdir/fleet-sh.txt" "$detdir/fleet-serial.txt"; then
@@ -187,21 +187,24 @@ echo "sharded fleet run byte-identical to serial."
 
 echo "== blame smoke: exactness oracle + determinism =="
 # Blame attribution runs through the exactness oracle (every thread's and
-# request's components must sum to its span — oversim and hpdc21 exit
-# nonzero on any violation), and two identical-seed runs must render
+# request's components must sum to its span — hpdc21 run exits nonzero
+# on any violation), and two identical-seed runs must render
 # byte-identical blame tables: once on a single traced machine, once
 # across a traced fleet with per-machine and merged rows.
-"$detdir/oversim" -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
+"$detdir/hpdc21" run -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
     -blame "$detdir/blame1.txt" >/dev/null
-"$detdir/oversim" -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
+"$detdir/hpdc21" run -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
     -blame "$detdir/blame2.txt" >/dev/null
 if ! cmp -s "$detdir/blame1.txt" "$detdir/blame2.txt"; then
     echo "blame smoke FAILED: identical seeds produced different blame tables" >&2
     diff "$detdir/blame1.txt" "$detdir/blame2.txt" >&2 || true
     exit 1
 fi
-"$detdir/hpdc21" -blame "$detdir/fblame1.txt" 2>/dev/null
-"$detdir/hpdc21" -blame "$detdir/fblame2.txt" 2>/dev/null
+for n in 1 2; do
+    "$detdir/hpdc21" run -fleet 1 -fleet-qps 20000 -fleet-duration 100 \
+        -fleet-policies rr -fleet-variants vanilla \
+        -blame "$detdir/fblame$n.txt" >/dev/null
+done
 if ! cmp -s "$detdir/fblame1.txt" "$detdir/fblame2.txt"; then
     echo "blame smoke FAILED: identical-seed fleet blame tables differ" >&2
     diff "$detdir/fblame1.txt" "$detdir/fblame2.txt" >&2 || true
@@ -213,7 +216,7 @@ echo "== diff gate: byte-empty on identical, schema-tagged on change =="
 # The diff subcommand follows diff(1): identical artifacts must write
 # zero bytes and exit 0 in both formats; a genuinely different pair must
 # exit 1, and its JSON report must carry the oversub-diff/v1 schema tag.
-"$detdir/oversim" diff -o "$detdir/d-same.txt" "$detdir/blame1.txt" "$detdir/blame2.txt"
+"$detdir/hpdc21" diff -o "$detdir/d-same.txt" "$detdir/blame1.txt" "$detdir/blame2.txt"
 if [ -s "$detdir/d-same.txt" ]; then
     echo "diff gate FAILED: identical blame tables produced a non-empty report" >&2
     cat "$detdir/d-same.txt" >&2
@@ -228,10 +231,10 @@ if [ -s "$detdir/d-same.json" ]; then
 fi
 # Same workload without -vb: a real behavioural change the report must
 # surface.
-"$detdir/oversim" -bench streamcluster -threads 16 -cores 4 -scale 0.05 \
+"$detdir/hpdc21" run -bench streamcluster -threads 16 -cores 4 -scale 0.05 \
     -blame "$detdir/blame3.txt" >/dev/null
 rc=0
-"$detdir/oversim" diff -format json -o "$detdir/d-changed.json" \
+"$detdir/hpdc21" diff -format json -o "$detdir/d-changed.json" \
     "$detdir/blame1.txt" "$detdir/blame3.txt" || rc=$?
 if [ "$rc" -ne 1 ]; then
     echo "diff gate FAILED: differing blame tables exited $rc, want 1" >&2
@@ -244,33 +247,12 @@ if ! grep -q '"schema": "oversub-diff/v1"' "$detdir/d-changed.json"; then
 fi
 echo "identical artifacts diff byte-empty; changes exit 1 with a schema-tagged report."
 
-echo "== bench smoke: BENCH schema + comparison =="
-# A quick bench pass must emit a schema-valid BENCH_<date>.json (the
-# harness validates before writing and exits nonzero otherwise), and a
-# second pass must report a comparison against the first. Quick-vs-quick
-# comparisons gate; the back-to-back threshold is deliberately loose
-# since both runs share whatever load the CI host is under.
-"$detdir/hpdc21" -quick -bench-out "$detdir/bench" bench >"$detdir/bench1.txt"
-ls "$detdir"/bench/BENCH_*.json >/dev/null
-"$detdir/hpdc21" -quick -bench-out "$detdir/bench" -bench-threshold 0.9 bench >"$detdir/bench2.txt"
-if ! grep -q "comparison against" "$detdir/bench2.txt"; then
-    echo "bench smoke FAILED: second run reported no comparison" >&2
-    cat "$detdir/bench2.txt" >&2
-    exit 1
-fi
-echo "bench report valid; second run compared against the first."
-
-echo "== bench gate: quick matrix vs committed baseline =="
-# The committed quick baseline (results/bench/) pins the event-core fast
-# path's throughput. The gate threshold is lenient — flagging only a fall
-# below 40% of baseline — because absolute host speed varies across CI
-# machines; it exists to catch order-of-magnitude regressions (an
-# accidental O(n) queue scan, a reintroduced per-event allocation), not
-# single-digit drift. The baseline is copied to a temp dir so the run
-# never writes into the repo.
-mkdir -p "$detdir/qbase"
-cp results/bench/BENCH_*.json "$detdir/qbase/"
-"$detdir/hpdc21" -quick -bench-out "$detdir/qbase" -bench-threshold 0.6 bench >"$detdir/bench3.txt"
-echo "quick matrix within tolerance of the committed baseline."
+echo "== benchmark module: vet + golden cell digests =="
+# benchmark/ is its own module (it runs the repo's workloads from outside);
+# its tests pin each workload cell's golden digest, so a change that
+# alters what a benchmark cell simulates fails here, not only in a
+# benchmark comparison.
+(cd benchmark && go vet . && go test -count=1 .)
+echo "benchmark module clean."
 
 echo "CI passed."

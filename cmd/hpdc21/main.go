@@ -6,6 +6,8 @@
 //
 //	hpdc21 [flags] <experiment>...
 //	hpdc21 all
+//	hpdc21 run [flags]
+//	hpdc21 diff [-format text|json] [-o file] <a> <b>
 //
 // Experiments: fig1 fig2 fig3 fig4 fig9 fig10 tab1 fig11 fig12 fig13 fig14
 // tab2 tab3 fig15.
@@ -17,25 +19,14 @@
 // rerunning recomputes only what changed (-nocache to disable). Progress
 // heartbeats go to stderr.
 //
-// -trace <file> additionally records one representative workload under full
-// kernel tracing, validates the event stream against the trace-invariant
-// oracle, and writes the derived analytics summary; it may be used with or
-// without experiments. -blame <file> likewise traces a representative
-// 1-machine fleet, checks the blame exactness oracle (wall-time components
-// must sum to every thread's and request's span), and writes the fleet
-// blame report. -metrics <file> records one representative workload with
-// the sim-time time-series sampler attached and exports the series
-// (-metrics-format {csv,json,summary}).
-//
-// The diff subcommand (hpdc21 diff [-format text|json] <a> <b>) compares
-// two run artifacts into an oversub-diff/v1 report with diff(1) exit
-// codes: identical inputs produce no output and exit 0.
-//
-// The bench subcommand runs the self-benchmark matrix (host simulation
-// throughput over fixed workloads) and writes BENCH_<date>.json to
-// -bench-out, comparing against the latest prior report and flagging
-// per-case throughput drops beyond -bench-threshold. -cpuprofile and
-// -memprofile write pprof profiles of whatever the invocation ran.
+// The run subcommand (hpdc21 run -bench <name> | -fleet <list> [flags])
+// executes one workload, a repetition batch, a sweep grid, or a fleet
+// capacity sweep under a chosen kernel configuration, with optional
+// trace, blame and metrics artifacts; hpdc21 run -list names the
+// workloads. The diff subcommand (hpdc21 diff [-format text|json] <a> <b>)
+// compares two run artifacts into an oversub-diff/v1 report with diff(1)
+// exit codes: identical inputs produce no output and exit 0. -cpuprofile
+// and -memprofile write pprof profiles of whatever the invocation ran.
 //
 // Absolute times are model outputs at a compressed scale (~1000x smaller
 // problems than the paper's testbed); the comparisons of interest — who
@@ -59,17 +50,43 @@ import (
 )
 
 type options struct {
+	sharedFlags
+	quick   bool
+	outDir  string
+	timeout time.Duration
+}
+
+// sharedFlags are the flags the experiment runner and `hpdc21 run` both
+// take, registered by one helper so their names, defaults and meanings
+// cannot drift apart.
+type sharedFlags struct {
 	seed       uint64
 	scale      float64
-	quick      bool
-	outDir     string
-	timeout    time.Duration
-	tracePath  string
-	blamePath  string
-	metricsTo  string
-	metricsFmt string
 	policy     string
 	shards     int
+	jobs       int
+	cpuprofile string
+	memprofile string
+}
+
+func (s *sharedFlags) register(fs *flag.FlagSet) {
+	fs.Uint64Var(&s.seed, "seed", 1, "random seed")
+	fs.Float64Var(&s.scale, "scale", 1.0, "work scale factor for suite benchmarks")
+	fs.StringVar(&s.policy, "policy", "", "scheduling policy for every run: cfs, edf, shinjuku, or oracle (default cfs)")
+	fs.IntVar(&s.shards, "shards", 0, "split each fleet run across this many concurrently executing shard engines (results stay byte-identical; 0/1 = serial)")
+	fs.IntVar(&s.jobs, "jobs", 0, "parallel simulation runs (0 = GOMAXPROCS, 1 = serial)")
+	fs.StringVar(&s.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
+	fs.StringVar(&s.memprofile, "memprofile", "", "write a pprof heap profile to this file on exit")
+}
+
+// validPolicy reports whether -policy names a known policy, explaining
+// the rejection on w.
+func (s *sharedFlags) validPolicy(w io.Writer) bool {
+	if oversub.ValidPolicy(s.policy) {
+		return true
+	}
+	fmt.Fprintf(w, "unknown -policy %q (want one of %v)\n", s.policy, oversub.PolicyNames())
+	return false
 }
 
 type experiment struct {
@@ -99,65 +116,41 @@ var experiments = []experiment{
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "diff" {
-		os.Exit(diff.Main("hpdc21", os.Args[2:], os.Stdout, os.Stderr))
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "diff":
+			os.Exit(diff.Main("hpdc21", os.Args[2:], os.Stdout, os.Stderr))
+		case "run":
+			os.Exit(runMain(os.Args[2:], os.Stdout, os.Stderr))
+		}
 	}
 	o := options{}
 	var (
-		jobs       int
-		nocache    bool
-		cacheDir   string
-		cpuprofile string
-		memprofile string
-		benchOut   string
-		benchThr   float64
+		nocache  bool
+		cacheDir string
 	)
-	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
-	flag.Float64Var(&o.scale, "scale", 1.0, "work scale factor for suite benchmarks")
+	o.register(flag.CommandLine)
 	flag.BoolVar(&o.quick, "quick", false, "reduced problem sizes for a fast pass")
 	flag.StringVar(&o.outDir, "out", "", "also write each experiment's output to <dir>/<name>.txt")
 	flag.DurationVar(&o.timeout, "timeout", 0, "per-run host wall-clock budget (0 = unbounded)")
-	flag.StringVar(&o.tracePath, "trace", "", "record a traced, oracle-checked representative run and write its summary to this file")
-	flag.StringVar(&o.blamePath, "blame", "", "trace a representative 1-machine fleet, check the blame exactness oracle, and write the fleet blame report to this file")
-	flag.StringVar(&o.metricsTo, "metrics", "", "record a deterministic metrics time-series of a representative run and write it to this file")
-	flag.StringVar(&o.metricsFmt, "metrics-format", "summary", "metrics output format: csv, json, or summary")
-	flag.StringVar(&o.policy, "policy", "", "scheduling policy for every run: cfs, edf, shinjuku, or oracle (default cfs)")
-	flag.IntVar(&o.shards, "shards", 0, "split each fleet run across this many concurrently executing shard engines (results stay byte-identical; 0/1 = serial)")
-	flag.IntVar(&jobs, "jobs", 0, "parallel simulation runs (0 = GOMAXPROCS, 1 = serial)")
 	flag.BoolVar(&nocache, "nocache", false, "ignore and do not write the result cache")
 	flag.StringVar(&cacheDir, "cache", filepath.Join("results", "cache"), "result cache directory")
-	flag.StringVar(&cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
-	flag.StringVar(&memprofile, "memprofile", "", "write a pprof heap profile to this file on exit")
-	flag.StringVar(&benchOut, "bench-out", ".", "bench: directory for the BENCH_<date>.json report")
-	flag.Float64Var(&benchThr, "bench-threshold", 0.2, "bench: throughput regression threshold vs the previous report (0.2 = 20%)")
 	flag.Usage = usage
 	flag.Parse()
 
 	args := flag.Args()
-	if len(args) == 0 && o.tracePath == "" && o.blamePath == "" && o.metricsTo == "" {
+	if len(args) == 0 {
 		usage()
 		os.Exit(2)
 	}
-	switch o.metricsFmt {
-	case "csv", "json", "summary":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -metrics-format %q (want csv, json, or summary)\n", o.metricsFmt)
+	if !o.validPolicy(os.Stderr) {
 		os.Exit(2)
 	}
-	if !oversub.ValidPolicy(o.policy) {
-		fmt.Fprintf(os.Stderr, "unknown -policy %q (want one of %v)\n", o.policy, oversub.PolicyNames())
-		os.Exit(2)
-	}
-	doBench := false
 	var selected []experiment
 	if len(args) == 1 && args[0] == "all" {
 		selected = experiments
 	} else {
 		for _, a := range args {
-			if a == "bench" {
-				doBench = true
-				continue
-			}
 			found := false
 			for _, e := range experiments {
 				if e.name == a {
@@ -182,48 +175,18 @@ func main() {
 			cache = c
 		}
 	}
-	pool := runner.New(jobs)
+	pool := runner.New(o.jobs)
 	rep := runner.StartReporter(pool, os.Stderr, 2*time.Second)
 	os.Exit(func() int {
 		defer pool.Close()
 		defer rep.Stop()
-		stopProf, err := startProfiles(cpuprofile, memprofile)
+		stopProf, err := startProfiles(o.cpuprofile, o.memprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		defer stopProf()
-		exit := 0
-		if o.tracePath != "" {
-			if err := runTraceCheck(o, o.tracePath); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				exit = 1
-			}
-		}
-		if o.blamePath != "" {
-			if err := runBlameCheck(o, o.blamePath); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				exit = 1
-			}
-		}
-		if o.metricsTo != "" {
-			if err := runMetricsCheck(o, o.metricsTo, o.metricsFmt); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				exit = 1
-			}
-		}
-		if doBench {
-			if err := runBench(o, pool, benchOut, benchThr); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				exit = 1
-			}
-		}
-		if len(selected) > 0 {
-			if code := runExperiments(selected, o, pool, cache); code != 0 {
-				exit = code
-			}
-		}
-		return exit
+		return runExperiments(selected, o, pool, cache)
 	}())
 }
 
@@ -283,13 +246,14 @@ func emit(e experiment, o options, data []byte) error {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: hpdc21 [flags] <experiment>...|all|bench\n")
+	fmt.Fprintf(os.Stderr, "usage: hpdc21 [flags] <experiment>...|all\n")
+	fmt.Fprintf(os.Stderr, "       hpdc21 run [flags]   (hpdc21 run -h lists them)\n")
 	fmt.Fprintf(os.Stderr, "       hpdc21 diff [-format text|json] [-o file] <a> <b>\n\nexperiments:\n")
 	for _, e := range experiments {
 		fmt.Fprintf(os.Stderr, "  %-6s %s\n", e.name, e.title)
 	}
-	fmt.Fprintf(os.Stderr, "  %-6s %s\n", "bench",
-		"continuous benchmark: simulator host throughput -> BENCH_<date>.json")
+	fmt.Fprintf(os.Stderr, "  %-6s %s\n", "run",
+		"run one workload or fleet sweep under a chosen kernel configuration")
 	fmt.Fprintf(os.Stderr, "  %-6s %s\n", "diff",
 		"compare two run artifacts -> oversub-diff/v1 (exit 0 identical, 1 differs)")
 	fmt.Fprintf(os.Stderr, "\nflags:\n")

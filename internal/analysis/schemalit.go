@@ -12,8 +12,8 @@ import (
 )
 
 // SchemaLit forces every schema tag — the "name/vN" version strings
-// stamped into JSON artifacts (bench reports, metrics exports, fleet
-// summaries, the hpdc21 result cache, diff reports) — to be a named
+// stamped into JSON artifacts (metrics exports, fleet summaries, the
+// hpdc21 result cache, diff reports) — to be a named
 // constant in a schema registry package. A schema tag spelled
 // inline is how two writers drift: the reader greps for one spelling, the
 // writer bumps the other, and a version check silently never fires. With

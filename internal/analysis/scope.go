@@ -33,7 +33,7 @@ var simScopeExcludes = []ScopeExclude{
 	{
 		Path: "examples/...",
 		Reason: "pedagogical demos for the README; they print to stdout for humans and " +
-			"are never harvested into experiment tables, golden files, or BENCH reports",
+			"are never harvested into experiment tables, golden files, or benchmark reports",
 	},
 }
 

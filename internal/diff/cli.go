@@ -7,10 +7,10 @@ import (
 	"os"
 )
 
-// Main implements the `diff` subcommand both CLIs (oversim, hpdc21)
-// front: compare two run artifacts and report the differences. It
-// follows diff(1)'s exit-code contract — 0 when the inputs are
-// identical, 1 when they differ, 2 on trouble — so ci.sh can gate on
+// Main implements the `hpdc21 diff` subcommand: compare two run
+// artifacts and report the differences. It follows diff(1)'s exit-code
+// contract — 0 when the inputs are identical, 1 when they differ, 2 on
+// trouble — so ci.sh can gate on
 // determinism ("same seed twice must diff clean") with a bare exit-code
 // check, and identical inputs write zero bytes.
 func Main(prog string, argv []string, stdout, stderr io.Writer) int {
@@ -20,8 +20,8 @@ func Main(prog string, argv []string, stdout, stderr io.Writer) int {
 	outPath := fs.String("o", "", "write the report to this file instead of stdout")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: %s diff [-format text|json] [-o file] <a> <b>\n\n"+
-			"Compares two run artifacts (trace summaries, metrics exports, bench\n"+
-			"reports, fleet JSON, blame tables). Identical inputs produce no output\n"+
+			"Compares two run artifacts (trace summaries, metrics exports,\n"+
+			"benchmark reports, fleet JSON, blame tables). Identical inputs produce no output\n"+
 			"and exit 0; differing inputs exit 1; trouble exits 2.\n\nflags:\n", prog)
 		fs.PrintDefaults()
 	}

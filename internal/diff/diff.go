@@ -1,5 +1,5 @@
 // Package diff compares two run artifacts — trace exports, metrics
-// documents, bench reports, fleet summaries, blame tables — into a
+// documents, benchmark reports, fleet summaries, blame tables — into a
 // differential report. JSON inputs are flattened to sorted leaf paths and
 // compared structurally (numeric leaves get absolute and relative deltas,
 // so percentile shifts and per-component blame shifts read directly off

@@ -17,10 +17,6 @@
 // the sample stream — so enabling metrics never perturbs a run, and two
 // identical-seed runs export byte-identical series. The package is in
 // simlint's simulation scope.
-//
-// The companion bench harness (bench.go, driven by `hpdc21 bench`) is the
-// repo's one audited wall-clock consumer: it measures host throughput of
-// the simulator itself and records BENCH_*.json trajectories.
 package metrics
 
 import (

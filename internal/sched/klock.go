@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"fmt"
-
-	"oversub/internal/hw"
-)
+import "oversub/internal/hw"
 
 // KLock is a kernel-internal spinlock (futex hash-bucket locks, runqueue
 // locks). It is a barging test-and-set lock: FIFO ticket ordering would
@@ -62,13 +58,4 @@ func (l *KLock) Unlock(t *Thread) {
 // Contended reports whether the lock is currently held.
 func (l *KLock) Contended() bool {
 	return l.word.Load() == 1
-}
-
-// Debug reports the lock state for diagnostics.
-func (l *KLock) Debug() string {
-	h := "nil"
-	if l.holder != nil {
-		h = l.holder.String()
-	}
-	return fmt.Sprintf("word=%d holder=%s", l.word.Load(), h)
 }

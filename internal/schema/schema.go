@@ -1,7 +1,7 @@
 // Package schema is the registry of artifact schema tags — the "name/vN"
 // version strings stamped into every JSON artifact the repo writes
-// (bench reports, metrics exports, fleet summaries, the hpdc21 result
-// cache, diff reports).
+// (metrics exports, fleet summaries, the hpdc21 result cache, diff
+// reports).
 //
 // The schemalit analyzer forbids spelling these tags inline anywhere
 // else in the module: a tag that exists in exactly one place cannot
@@ -12,8 +12,6 @@
 package schema
 
 const (
-	// BenchV1 tags internal/metrics continuous-benchmark reports.
-	BenchV1 = "oversub-bench/v1"
 	// MetricsV1 tags internal/metrics time-series exports.
 	MetricsV1 = "oversub-metrics/v1"
 	// FleetV1 tags internal/cluster fleet-simulation reports.

@@ -149,8 +149,8 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *Rand { return e.rng }
 
 // Executed returns the number of events the engine has fired since
-// construction. It is a pure function of the run (the bench harness uses
-// it as the simulator's events/sec denominator), never a simulation input.
+// construction. It is a pure function of the run (benchmark/ uses it as
+// the simulator's host-ns-per-event denominator), never a simulation input.
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // alloc takes a node from the pool, or makes one.

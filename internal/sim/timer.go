@@ -32,14 +32,14 @@ func (tm *Timer) Rearm(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	tm.RearmAt(tm.eng.now.Add(d))
+	tm.rearmAt(tm.eng.now.Add(d))
 }
 
-// RearmAt schedules — or, if armed, reschedules — the timer to fire at
+// rearmAt schedules — or, if armed, reschedules — the timer to fire at
 // time t. Scheduling in the past panics.
 //
 //simlint:hotpath
-func (tm *Timer) RearmAt(t Time) {
+func (tm *Timer) rearmAt(t Time) {
 	e, n := tm.eng, tm.n
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, e.now))

@@ -1,6 +1,6 @@
 // Package trace records simulated-kernel scheduling events into a bounded
 // ring, for debugging workloads and for tooling that wants a scheduling
-// timeline (oversim -trace).
+// timeline (hpdc21 run -trace).
 package trace
 
 import (

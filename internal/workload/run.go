@@ -24,6 +24,19 @@ const (
 	DetectPLE
 )
 
+// String names the detector as the CLIs print it.
+func (d Detection) String() string {
+	switch d {
+	case DetectOff:
+		return "off"
+	case DetectBWD:
+		return "bwd"
+	case DetectPLE:
+		return "ple"
+	}
+	return "?"
+}
+
 // CPUChange is a scheduled cpuset resize (CPU elasticity, Figure 11).
 type CPUChange struct {
 	At    sim.Duration
@@ -90,7 +103,7 @@ type Result struct {
 	// acquisitions, barrier arrivals, spin handoffs).
 	SyncOps uint64
 	// Events is the number of simulation events the engine executed — a
-	// host-side cost measure (the bench harness's events/sec denominator),
+	// host-side cost measure (benchmark/'s host-ns-per-event denominator),
 	// not a model output.
 	Events uint64
 	// Err is non-nil if the run did not complete before the horizon.
