@@ -128,8 +128,8 @@ func runMapRange(pass *Pass) {
 // SelectStmt forbids multi-case selects in simulation scope: when more
 // than one case is ready the runtime picks pseudo-randomly, which injects
 // scheduling nondeterminism the virtual clock cannot see. Simulated
-// waiting belongs on the engine's event queue; the sim.Proc handshake
-// needs only single-channel operations.
+// waiting belongs on the engine's event queue, and sim.Proc switches
+// coroutines without channels.
 var SelectStmt = &Analyzer{
 	Name:     "selectstmt",
 	Doc:      "forbid multi-case select in simulation scope (runtime picks cases pseudo-randomly)",
@@ -162,8 +162,8 @@ func runSelectStmt(pass *Pass) {
 // GoStmt forbids go statements in simulation scope. The determinism model
 // requires exactly one simulated entity to execute at any instant
 // (DESIGN.md §5); a raw goroutine hands ordering to the host scheduler.
-// The one sanctioned use — the sim.Proc coroutine handshake, where the
-// owner blocks until the body parks — carries an allow annotation.
+// Simulated threads are iter.Pull coroutines, so the simulator itself
+// needs no go statement.
 var GoStmt = &Analyzer{
 	Name:     "gostmt",
 	Doc:      "forbid go statements in simulation scope (one simulated entity at a time)",

@@ -44,8 +44,7 @@ func loadRealTree(t *testing.T) (*Loader, []*Package) {
 
 // TestRealTreeIsLintClean runs the analyzer suite over this repository
 // itself: the tree must carry zero diagnostics, with every legitimate
-// exception (the runner's wall-clock heartbeat, the sim.Proc coroutine
-// handshake) annotated in the source.
+// exception (the runner's wall-clock heartbeat) annotated in the source.
 func TestRealTreeIsLintClean(t *testing.T) {
 	loader, pkgs := loadRealTree(t)
 	for _, d := range lintLoaded(moduleRootForTest(t), "oversub", loader.Fset(), pkgs) {

@@ -353,7 +353,9 @@ func Run(cfg FleetConfig) (*FleetResult, error) {
 	f.start()
 	eng.Run(f.end)
 	f.stop()
-	return f.collect(eng.Executed()), nil
+	res := f.collect(eng.Executed())
+	eng.Close()
+	return res, nil
 }
 
 // buildFleet constructs the run state for one engine. owns selects the

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"oversub/internal/sched"
 	"oversub/internal/sim"
@@ -210,5 +212,30 @@ func TestFleetConfigErrors(t *testing.T) {
 	cfg.Tenants = []TenantSpec{{Name: "zero", Share: 0}}
 	if _, err := Run(cfg); err == nil {
 		t.Error("zero tenant share accepted")
+	}
+}
+
+// TestRunReleasesThreadGoroutines: Run stops the simulated threads still
+// parked at the horizon, serial and sharded, so a process that runs many
+// fleets does not accumulate their coroutines (and with them every
+// fleet's kernels).
+func TestRunReleasesThreadGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 4; i++ {
+		cfg := smallFleet(2, uint64(i+1))
+		cfg.Duration = 20 * sim.Millisecond
+		if i%2 == 1 {
+			cfg.Shards = 2
+		}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 4 fleets, %d before: parked threads leaked", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

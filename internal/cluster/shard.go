@@ -104,6 +104,13 @@ func runSharded(cfg FleetConfig, k int) (*FleetResult, error) {
 	for _, f := range reps {
 		f.stop()
 	}
+	// The threads still parked at the horizon are stopped once the result
+	// is collected, so no shard's kernels outlive the run.
+	defer func() {
+		for _, e := range engines {
+			e.Close()
+		}
+	}()
 
 	// Replica lockstep check: every shard must have replayed the exact
 	// same driver stream. A divergence here is a determinism bug (some

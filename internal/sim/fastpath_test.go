@@ -125,6 +125,23 @@ func TestFreeListZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestProcSwitchZeroAlloc pins a Switch/Park round trip of a started
+// proc at zero allocations: the coroutine switch carries no value and
+// boxes nothing.
+func TestProcSwitchZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	p := e.NewProc(func(p *Proc) {
+		for {
+			p.Park()
+		}
+	})
+	p.Switch()
+	if n := testing.AllocsPerRun(100, p.Switch); n != 0 {
+		t.Errorf("Switch/Park round trip allocates %v per cycle, want 0", n)
+	}
+	e.Close()
+}
+
 // BenchmarkEnginePushPop measures the raw event-queue cycle: schedule one
 // event, fire one event, with a standing population keeping the heap at
 // working depth.

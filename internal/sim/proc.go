@@ -1,20 +1,28 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a coroutine running inside the simulation.
 //
-// A Proc's body is an ordinary Go function executing on its own goroutine,
-// but control is transferred explicitly: the owner (scheduler, client model,
-// ...) calls Switch to run the body until it calls Park or returns. While the
-// body runs, the owner is blocked, so at most one simulated entity executes
-// at a time and determinism is preserved.
+// A Proc's body is an ordinary Go function run as an iter.Pull coroutine:
+// the owner (scheduler, client model, ...) calls Switch to run the body
+// until it calls Park or returns, and each transfer is a direct coroutine
+// switch rather than a trip through the Go scheduler. While the body runs,
+// the owner is suspended, so at most one simulated entity executes at a
+// time and determinism is preserved. Engine.Close stops the procs still
+// parked when a run is abandoned.
 type Proc struct {
-	eng      *Engine
-	resume   chan struct{}
-	parked   chan struct{}
+	eng *Engine
+	// next resumes the body, yield (called by Park) suspends it and stop
+	// unwinds it; all three are nil until the first Switch creates the
+	// coroutine.
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
 	body     func(*Proc)
-	started  bool
 	finished bool
 	panicked any
 
@@ -23,15 +31,15 @@ type Proc struct {
 	Data any
 }
 
+// procStopped is the panic value Park raises when Engine.Close stops a
+// parked proc; finish swallows it. Zero-size, so raising it never
+// allocates.
+type procStopped struct{}
+
 // NewProc registers a coroutine with body. The body does not run until the
 // first Switch.
 func (e *Engine) NewProc(body func(*Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-		body:   body,
-	}
+	p := &Proc{eng: e, body: body}
 	e.procs = append(e.procs, p)
 	return p
 }
@@ -49,14 +57,10 @@ func (p *Proc) Switch() {
 	if p.finished {
 		panic("sim: Switch on finished proc")
 	}
-	if !p.started {
-		p.started = true
-		//simlint:allow gostmt -- coroutine handshake: the owner blocks until the body parks, so one simulated entity runs at a time (DESIGN.md §5)
-		go p.run()
-	} else {
-		p.resume <- struct{}{}
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.seq)
 	}
-	<-p.parked
+	p.next()
 	if p.panicked != nil {
 		panic(fmt.Sprintf("sim: proc body panicked: %v", p.panicked))
 	}
@@ -65,25 +69,30 @@ func (p *Proc) Switch() {
 // Park suspends the body until the next Switch. It must be called from
 // within the proc's body.
 func (p *Proc) Park() {
-	p.parked <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(procStopped{})
+	}
 }
 
-func (p *Proc) run() {
+// seq is the coroutine function: Park yields through it and the body's
+// return ends it.
+func (p *Proc) seq(yield func(struct{}) bool) {
+	p.yield = yield
 	defer p.finish()
 	p.body(p)
 }
 
-// finish runs deferred on the proc goroutine when the body returns or
-// panics: it records the panic, retires the proc from the registry, and
-// hands control back to the owner blocked in Switch.
+// finish runs deferred in the coroutine when the body returns, panics or is
+// stopped: it records a genuine panic for Switch to re-raise and retires the
+// proc from the registry.
 func (p *Proc) finish() {
 	if r := recover(); r != nil {
-		p.panicked = r
+		if _, stopped := r.(procStopped); !stopped {
+			p.panicked = r
+		}
 	}
 	p.finished = true
 	p.eng.removeProc(p)
-	p.parked <- struct{}{}
 }
 
 // removeProc drops p from the ordered registry, preserving the
@@ -93,6 +102,24 @@ func (e *Engine) removeProc(p *Proc) {
 		if q == p {
 			e.procs = append(e.procs[:i], e.procs[i+1:]...)
 			return
+		}
+	}
+}
+
+// Close stops every live proc, in registration order, so nothing the
+// engine's bodies reference stays reachable once a run is over. A parked
+// body unwinds from its Park without running further; a proc that never
+// ran is retired without running at all. Afterwards LiveProcs is 0, and a
+// second Close is a no-op. Close must be called from the engine's thread,
+// never from inside a proc body.
+func (e *Engine) Close() {
+	live := e.procs
+	e.procs = nil // stopped bodies unwind without spawning procs
+	for _, p := range live {
+		if p.stop == nil {
+			p.finished = true
+		} else {
+			p.stop()
 		}
 	}
 }

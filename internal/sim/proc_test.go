@@ -134,3 +134,42 @@ func TestManyProcsRoundRobin(t *testing.T) {
 		t.Errorf("LiveProcs = %d after completion, want 0", e.LiveProcs())
 	}
 }
+
+// TestCloseStopsEveryLiveProc: Close retires parked and never-started
+// procs alike, runs no body past its Park, and is idempotent.
+func TestCloseStopsEveryLiveProc(t *testing.T) {
+	e := NewEngine(1)
+	ran := 0
+	var parked []*Proc
+	for i := 0; i < 3; i++ {
+		p := e.NewProc(func(p *Proc) {
+			ran++
+			p.Park()
+			ran += 100 // past Park: Close must never get here
+			p.Park()
+		})
+		p.Switch()
+		parked = append(parked, p)
+	}
+	e.NewProc(func(p *Proc) { ran += 100 }) // never started
+	e.NewProc(func(p *Proc) {}).Switch()    // finished
+	if got := e.LiveProcs(); got != 4 {
+		t.Fatalf("LiveProcs = %d before Close, want 4", got)
+	}
+	e.Close()
+	if got := e.LiveProcs(); got != 0 {
+		t.Fatalf("LiveProcs = %d after Close, want 0", got)
+	}
+	if ran != 3 {
+		t.Fatalf("bodies ran %d, want 3: Close resumed a body past Park or started one", ran)
+	}
+	for i, p := range parked {
+		if !p.Finished() {
+			t.Fatalf("stopped proc %d does not report Finished", i)
+		}
+	}
+	e.Close() // a second Close is a no-op
+	if got := e.LiveProcs(); got != 0 {
+		t.Fatalf("LiveProcs = %d after second Close, want 0", got)
+	}
+}

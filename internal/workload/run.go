@@ -220,6 +220,11 @@ func Run(spec *Spec, cfg RunConfig) Result {
 	if res.ExecTime > 0 {
 		res.UtilPct = float64(k.TotalBusy()) / float64(res.ExecTime) * 100
 	}
+	if err != nil {
+		// Threads still parked at the horizon would otherwise keep the
+		// kernel reachable for the life of the process.
+		eng.Close()
+	}
 	return res
 }
 
