@@ -1,10 +1,8 @@
 #!/bin/sh
 # ci.sh — the repo's gate: formatting, vet, simlint, build, tests, the race
 # detector (the runner fans simulation runs across OS threads, so every
-# test also runs under -race), a determinism smoke test proving that a
-# parallel experiment fleet is byte-identical to a serial one, and a
-# sharded-fleet smoke proving that splitting one fleet run across shard
-# engines (-shards) is byte-identical to serial execution. The benchmark
+# test also runs under -race), and a determinism smoke test proving that a
+# parallel experiment fleet is byte-identical to a serial one. The benchmark
 # module's own tests pin its workload cells' golden digests.
 set -eu
 
@@ -28,7 +26,7 @@ echo "== simlint =="
 # The determinism contract, machine-checked: no wall-clock reads, global
 # math/rand, map iteration, multi-case selects, or goroutines in the
 # simulated kernel; no time-domain mixing, mixed atomics, or unthreaded
-# engine seeds; no shard-unsafe package state, tainted RNG seeds,
+# engine seeds; no package state shared across concurrent engines, tainted RNG seeds,
 # allocations on //simlint:hotpath functions, inexhaustive enum switches,
 # or inline schema tags. See DESIGN.md "Determinism rules" and "Analyzer
 # architecture". The tree must be clean with every pass enabled.
@@ -163,28 +161,6 @@ if ! grep -q '"schema": "oversub-fleet/v1"' "$detdir/fleet1.json"; then
     exit 1
 fi
 echo "fleet report schema-tagged and byte-identical across pool widths."
-
-echo "== sharded-fleet smoke: -shards N byte-identical to serial =="
-# The same fleet sweep split across four concurrently executing shard
-# engines must render the exact table and JSON report serial execution
-# does: sharding is a host-execution knob, never an experiment parameter.
-"$detdir/hpdc21" run -fleet 1,3 -fleet-qps 20000 -fleet-duration 200 \
-    -fleet-variants vanilla,vb+bwd -seed 11 -shards 4 \
-    -fleet-out "$detdir/fleet-sh.json" | grep -v '^wrote ' >"$detdir/fleet-sh.txt"
-"$detdir/hpdc21" run -fleet 1,3 -fleet-qps 20000 -fleet-duration 200 \
-    -fleet-variants vanilla,vb+bwd -seed 11 \
-    -fleet-out "$detdir/fleet-serial.json" | grep -v '^wrote ' >"$detdir/fleet-serial.txt"
-if ! cmp -s "$detdir/fleet-sh.txt" "$detdir/fleet-serial.txt"; then
-    echo "sharded-fleet smoke FAILED: -shards 4 table differs from serial" >&2
-    diff "$detdir/fleet-serial.txt" "$detdir/fleet-sh.txt" >&2 || true
-    exit 1
-fi
-if ! cmp -s "$detdir/fleet-sh.json" "$detdir/fleet-serial.json"; then
-    echo "sharded-fleet smoke FAILED: -shards 4 JSON report differs from serial" >&2
-    diff "$detdir/fleet-serial.json" "$detdir/fleet-sh.json" >&2 || true
-    exit 1
-fi
-echo "sharded fleet run byte-identical to serial."
 
 echo "== blame smoke: exactness oracle + determinism =="
 # Blame attribution runs through the exactness oracle (every thread's and

@@ -51,10 +51,6 @@ func fleet(e *env) {
 		QPS:      50000,
 		Duration: 500 * sim.Millisecond,
 		Seed:     e.o.seed,
-		// A host-execution knob, not an experiment parameter: sharded
-		// results are byte-identical to serial (Shards is json:"-", so
-		// cached results stay valid across -shards settings).
-		Shards: e.o.shards,
 	}
 	machines := []int{1, 2, 4}
 	policies := []string{"rr", "jsq", "ewma"}

@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,7 +64,6 @@ type sharedFlags struct {
 	seed       uint64
 	scale      float64
 	policy     string
-	shards     int
 	jobs       int
 	cpuprofile string
 	memprofile string
@@ -73,20 +73,26 @@ func (s *sharedFlags) register(fs *flag.FlagSet) {
 	fs.Uint64Var(&s.seed, "seed", 1, "random seed")
 	fs.Float64Var(&s.scale, "scale", 1.0, "work scale factor for suite benchmarks")
 	fs.StringVar(&s.policy, "policy", "", "scheduling policy for every run: cfs, edf, shinjuku, or oracle (default cfs)")
-	fs.IntVar(&s.shards, "shards", 0, "split each fleet run across this many concurrently executing shard engines (results stay byte-identical; 0/1 = serial)")
 	fs.IntVar(&s.jobs, "jobs", 0, "parallel simulation runs (0 = GOMAXPROCS, 1 = serial)")
 	fs.StringVar(&s.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 	fs.StringVar(&s.memprofile, "memprofile", "", "write a pprof heap profile to this file on exit")
 }
 
-// validPolicy reports whether -policy names a known policy, explaining
-// the rejection on w.
-func (s *sharedFlags) validPolicy(w io.Writer) bool {
-	if oversub.ValidPolicy(s.policy) {
-		return true
+// validate rejects shared flag values that would otherwise be silently
+// replaced by a default.
+func (s *sharedFlags) validate() error {
+	if !oversub.ValidPolicy(s.policy) {
+		return fmt.Errorf("unknown -policy %q (want one of %v)", s.policy, oversub.PolicyNames())
 	}
-	fmt.Fprintf(w, "unknown -policy %q (want one of %v)\n", s.policy, oversub.PolicyNames())
-	return false
+	if !positive(s.scale) {
+		return fmt.Errorf("-scale must be a positive number, got %g", s.scale)
+	}
+	return nil
+}
+
+// positive reports whether x is a finite number above zero.
+func positive(x float64) bool {
+	return x > 0 && !math.IsInf(x, 1)
 }
 
 type experiment struct {
@@ -143,7 +149,8 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if !o.validPolicy(os.Stderr) {
+	if err := o.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	var selected []experiment

@@ -111,9 +111,6 @@ func runMain(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if !f.validPolicy(stderr) {
-		return 2
-	}
 	var spec *oversub.BenchSpec
 	var fleetCfg sweep.FleetSweep
 	if f.fleet.machines != "" {
@@ -159,6 +156,9 @@ func runMain(argv []string, stdout, stderr io.Writer) int {
 // validate rejects flag combinations that would silently record less
 // than the user asked for.
 func (f *runFlags) validate() error {
+	if err := f.sharedFlags.validate(); err != nil {
+		return err
+	}
 	switch {
 	case f.reps < 1:
 		return errors.New("-reps must be >= 1")

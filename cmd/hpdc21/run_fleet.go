@@ -110,6 +110,22 @@ func (f *runFlags) fleetSweep() (sweep.FleetSweep, error) {
 	if len(policies) == 0 {
 		policies = []string{"rr"}
 	}
+	for _, p := range policies {
+		if _, err := cluster.NewDispatcher(p, 1); err != nil {
+			return sweep.FleetSweep{}, fmt.Errorf("-fleet-policies: %v", err)
+		}
+	}
+	if _, err := cluster.NewProcess(ff.arrival, 1); err != nil {
+		return sweep.FleetSweep{}, fmt.Errorf("-fleet-arrival: %v", err)
+	}
+	switch {
+	case !positive(ff.qps):
+		return sweep.FleetSweep{}, fmt.Errorf("-fleet-qps must be a positive number, got %g", ff.qps)
+	case ff.duration <= 0:
+		return sweep.FleetSweep{}, fmt.Errorf("-fleet-duration must be positive, got %d ms", ff.duration)
+	case ff.warmup < 0 || ff.warmup >= ff.duration:
+		return sweep.FleetSweep{}, fmt.Errorf("-fleet-warmup must be in [0, %d) ms (0 = duration/10), got %d", ff.duration, ff.warmup)
+	}
 	schedList := splitList(ff.schedList)
 	for _, p := range schedList {
 		if !oversub.ValidPolicy(p) {
@@ -127,7 +143,6 @@ func (f *runFlags) fleetSweep() (sweep.FleetSweep, error) {
 			Warmup:          oversub.Duration(ff.warmup) * oversub.Millisecond,
 			Seed:            f.seed,
 			MachinePolicies: schedList,
-			Shards:          f.shards,
 		},
 		Machines: machines,
 		Policies: policies,

@@ -27,6 +27,14 @@ func TestRunRejectsConflictingFlags(t *testing.T) {
 		{"memcached with sweep", []string{"-bench", "memcached", "-sweep"}},
 		{"memcached with reps", []string{"-bench", "memcached", "-reps", "2"}},
 		{"memcached with grow", []string{"-bench", "memcached", "-grow", "8"}},
+		{"zero scale", []string{"-bench", "streamcluster", "-scale", "0"}},
+		{"negative scale", []string{"-bench", "streamcluster", "-scale", "-1"}},
+		{"negative fleet qps", []string{"-fleet", "1", "-fleet-qps", "-5"}},
+		{"negative fleet duration", []string{"-fleet", "1", "-fleet-duration", "-10"}},
+		{"negative fleet warmup", []string{"-fleet", "1", "-fleet-warmup", "-1"}},
+		{"fleet warmup past duration", []string{"-fleet", "1", "-fleet-warmup", "900"}},
+		{"unknown fleet policy", []string{"-fleet", "1", "-fleet-policies", "rr,nope"}},
+		{"unknown fleet arrival", []string{"-fleet", "1", "-fleet-arrival", "nope"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -105,23 +105,20 @@ func engineTrioSummaries() []string {
 	s4 := fmt.Sprintf("memcached served=%d mean=%d p95=%d p99=%d exec=%d events=%d futex=%d/%d epoll=%d/%d",
 		mc.Served, mc.Mean, mc.P95, mc.P99, mc.ExecTime, mc.Events,
 		mc.Metrics.FutexWaits, mc.Metrics.FutexWakes, mc.Metrics.EpollWaits, mc.Metrics.EpollPosts)
-	return []string{s1, s2, s3, s4, fleetGoldenSummary(0)}
+	return []string{s1, s2, s3, s4, fleetGoldenSummary()}
 }
 
 // fleetGoldenSummary runs the golden fleet cell — a 3-machine VB+BWD
-// fleet under fixed open-loop load — at the given shard count and renders
-// the result canonically. Sharded execution must reproduce the serial pin
-// byte for byte (TestGoldenEngineTrio runs it at several shard counts);
-// Events is in the string, so the de-duplicated executed-event merge is
-// pinned along with the latency and placement numbers.
-func fleetGoldenSummary(shards int) string {
+// fleet under fixed open-loop load — and renders the result canonically.
+// Events is in the string, so the executed-event count is pinned along
+// with the latency and placement numbers.
+func fleetGoldenSummary() string {
 	res, err := cluster.Run(cluster.FleetConfig{
 		Machines: 3,
 		Machine:  cluster.MachineConfig{Feat: Features{VB: true}, Detect: workload.DetectBWD},
 		QPS:      30000,
 		Duration: 150 * Millisecond,
 		Seed:     7,
-		Shards:   shards,
 	})
 	if err != nil {
 		panic(err)
@@ -147,15 +144,6 @@ func TestGoldenEngineTrio(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("summary %d diverged from pre-refactor pin:\n got %q\nwant %q", i, got[i], want[i])
-		}
-	}
-	// Metamorphic shard invariance: the golden fleet cell must reproduce
-	// the serial pin byte for byte no matter how many shard engines the
-	// run is split across (including a count that does not divide the
-	// machine count evenly).
-	for _, k := range []int{2, 3} {
-		if got := fleetGoldenSummary(k); got != want[4] {
-			t.Errorf("fleet cell with %d shards diverged from the serial pin:\n got %q\nwant %q", k, got, want[4])
 		}
 	}
 }

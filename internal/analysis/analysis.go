@@ -12,7 +12,7 @@
 // Beyond the syntactic rules, a dataflow layer (dataflow.go) — a def-use
 // index and a static call graph over the typed AST — feeds interprocedural
 // passes: seed taint tracking (seedtaint), package-level mutable state
-// that sharded fleet runs would share across engines (sharedstate,
+// that concurrent engines under -jobs would share (sharedstate,
 // shardsafe), and zero-alloc hot-path enforcement (hotpath). Closed-enum
 // exhaustiveness (kindswitch) and schema-tag registry checks (schemalit)
 // complete the suite. DESIGN.md §12 documents the architecture.

@@ -251,9 +251,9 @@ func TestSimScopeSeesPolicyFiles(t *testing.T) {
 	}
 	for path, files := range map[string][]string{
 		"oversub/internal/trace": {"blame.go", "oracle.go", "analytics.go", "chrome.go"},
-		// Fleet sharding runs several engines at once: its files are
-		// precisely the code sharedstate and shardsafe exist to police.
-		"oversub/internal/cluster": {"observe.go", "cluster.go", "shard.go"},
+		// Concurrent fleet cells under -jobs run several engines at once:
+		// these files are the code sharedstate and shardsafe police.
+		"oversub/internal/cluster": {"observe.go", "cluster.go"},
 		"oversub/internal/sim":     {"engine.go", "rng.go"},
 	} {
 		pkg := byPath[path]

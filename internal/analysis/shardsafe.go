@@ -9,22 +9,22 @@ import (
 // calls. sharedstate flags package-level vars with direct write evidence
 // (assignment, ++, element store, &v escaping), but a pointer-receiver
 // method call — sigCounter.Add(1) — mutates the var through an implicit
-// &v that never appears in the source as an address-taking. Sharded fleet
-// runs (cluster.FleetConfig.Shards) execute several engines at once in one
-// process, so such a call is a cross-shard data race and a determinism
-// leak exactly like a plain write; simulation-scope code may not touch
-// package-level vars through pointer-receiver methods at all.
+// &v that never appears in the source as an address-taking. Concurrent
+// runner jobs (-jobs) execute several engines at once in one process, so
+// such a call is a cross-engine data race and a determinism leak exactly
+// like a plain write; simulation-scope code may not touch package-level
+// vars through pointer-receiver methods at all.
 //
 // The rule is conservative on purpose: it cannot tell a mutating call
 // (Add) from a read (Load), and flags both — state whose reads are only
 // reachable through pointer receivers is still shared mutable state. A
-// use that is genuinely shard-safe (its contract depends only on values
-// being distinct, never on which shard drew which) carries an audited
+// use that is genuinely safe across engines (its contract depends only on
+// values being distinct, never on which engine drew which) carries an audited
 // //simlint:allow shardsafe directive. Value-receiver calls on read-only
 // lookup tables stay legal, as in sharedstate.
 var ShardSafe = &Analyzer{
 	Name:     "shardsafe",
-	Doc:      "forbid pointer-receiver method calls on package-level vars in simulation scope (hidden cross-shard mutation under fleet sharding)",
+	Doc:      "forbid pointer-receiver method calls on package-level vars in simulation scope (hidden cross-engine mutation between concurrent -jobs runs)",
 	SimScope: true,
 	Run:      runShardSafe,
 }

@@ -8,11 +8,11 @@ import (
 	"sort"
 )
 
-// SharedState flags mutable package-level state in simulation scope. Both
-// the runner's parallel experiment fleets and sharded fleet runs execute
-// several engines in one process at once, so any package-level variable
-// that simulation code writes is a cross-engine race and a determinism
-// leak, invisible to the per-run seed threading.
+// SharedState flags mutable package-level state in simulation scope. The
+// runner executes independent runs (-jobs) as concurrent engines in one
+// process, so any package-level variable that simulation code writes is a
+// cross-engine race and a determinism leak, invisible to the per-run seed
+// threading.
 //
 // A package-level var is "mutable" when the module contains evidence of
 // mutation: a direct assignment or ++/--, a mutation through its elements
@@ -26,7 +26,7 @@ import (
 // sim-scope packages are reported.
 var SharedState = &Analyzer{
 	Name:   "sharedstate",
-	Doc:    "forbid mutable package-level state in simulation scope (cross-shard races under fleet sharding)",
+	Doc:    "forbid mutable package-level state in simulation scope (cross-engine races between concurrent -jobs runs)",
 	Run:    runSharedState,
 	Finish: finishSharedState,
 }

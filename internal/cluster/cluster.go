@@ -85,15 +85,10 @@ type FleetConfig struct {
 	// Seed makes the run reproducible: equal seeds give byte-identical
 	// results.
 	Seed uint64
-	// Shards splits the run into machine groups (machine m goes to shard
-	// m mod Shards), each executing on its own event engine, concurrently
-	// when GOMAXPROCS allows. Results are byte-identical to the serial run
-	// — the differential battery in shard_test.go enforces this — so it is
-	// a pure host-execution knob: excluded from result-cache fingerprints
-	// (json:"-") and legal to flip on any cached experiment. 0 or 1 runs
-	// serially. Sharding requires a replicable dispatcher; with jsq/ewma
-	// (whose picks read completion state held by other shards) the run
-	// silently falls back to serial. See DESIGN.md §15.
+	// Shards is ignored: every fleet runs on one engine (DESIGN.md §15).
+	// The field stays only because benchmark/layers.go still sets it; it
+	// goes with that code at the next change to benchmark/ (ROADMAP
+	// carry-over). Nothing else may set it.
 	Shards int `json:"-"`
 	// TracerFor, when non-nil, supplies a per-machine tracer (nil return
 	// = untraced machine). Observation-only; excluded from result-cache
@@ -229,9 +224,6 @@ type machine struct {
 }
 
 // fleet is the in-flight run state shared by the generator trampolines.
-// Under sharded execution each shard holds one fleet value — a full
-// replica of the driver state (dispatcher, generators, issued matrix) but
-// with machines built only for the shard's own slice (nil elsewhere).
 type fleet struct {
 	cfg      FleetConfig
 	eng      *sim.Engine
@@ -240,10 +232,6 @@ type fleet struct {
 	end      sim.Time
 	warmEnd  sim.Time
 	issued   [][]uint64 // [machine][tenant]
-	// genExec counts generator (arrival-stream) event firings. Sharded
-	// runs replay the full driver on every shard, so the merged executed-
-	// event count must de-duplicate the replicas: see runSharded.
-	genExec uint64
 }
 
 // tenantGen drives one tenant's open-loop arrival stream.
@@ -268,7 +256,6 @@ func batchBody(t *sched.Thread) {
 
 func genArrive(arg any, _, _ uint64) {
 	g := arg.(*tenantGen)
-	g.f.genExec++
 	now := g.f.eng.Now()
 	if now >= g.f.end {
 		return // horizon reached: the stream stops, backlog is counted
@@ -285,36 +272,17 @@ func (g *tenantGen) emit(now sim.Time) {
 	g.f.disp.Sent(m)
 	g.f.issued[m][g.idx]++
 	g.lane++
-	work := g.spec.workFor(g.rng)
-	mc := g.f.machines[m]
-	if mc == nil {
-		// Shard replica: another shard owns machine m. The dispatch
-		// decision, issued count, lane, and work draw above still had to
-		// happen — every shard replays the identical driver stream so its
-		// RNG and dispatcher state stay in lockstep — but the request
-		// itself materializes only on the owning shard.
-		return
-	}
 	req := &workload.Request{
-		Work:    work,
+		Work:    g.spec.workFor(g.rng),
 		Lane:    g.lane,
 		Machine: m,
 		Tenant:  g.idx,
 		Skip:    now < g.f.warmEnd,
 	}
-	mc.svcs[g.idx].Post(req)
+	g.f.machines[m].svcs[g.idx].Post(req)
 }
 
-// newFleetEngine builds a fleet engine from the experiment seed. Sharded
-// runs build every shard engine with the same seed: each shard replays
-// the identical driver stream (generators, dispatcher) and the
-// byte-identical merge depends on all replicas drawing the same sequence.
-func newFleetEngine(seed uint64) *sim.Engine {
-	return sim.NewEngine(seed*0x9E3779B97F4A7C15 + 0xF1EE7)
-}
-
-// validate rejects configurations Run cannot execute. Shared by the
-// serial and sharded paths so both fail identically.
+// validate rejects configurations Run cannot execute.
 func (cfg *FleetConfig) validate() error {
 	for i := range cfg.Tenants {
 		if cfg.Tenants[i].Share <= 0 {
@@ -332,40 +300,31 @@ func (cfg *FleetConfig) validate() error {
 	return nil
 }
 
-// Run executes one fleet experiment. The returned result is a pure
-// function of cfg's value fields: the serial path runs all machines on
-// one event engine, and cfg.Shards > 1 splits them across concurrently
-// executing engines with a byte-identical merge (see runSharded).
+// Run executes one fleet experiment: every machine runs on one event
+// engine, so the returned result is a pure function of cfg's value fields.
 func Run(cfg FleetConfig) (*FleetResult, error) {
 	cfg.defaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if k := cfg.effectiveShards(); k > 1 {
-		return runSharded(cfg, k)
-	}
 
-	eng := newFleetEngine(cfg.Seed)
-	f, err := buildFleet(cfg, eng, nil)
+	eng := sim.NewEngine(cfg.Seed*0x9E3779B97F4A7C15 + 0xF1EE7)
+	f, err := buildFleet(cfg, eng)
 	if err != nil {
 		return nil, err
 	}
 	f.start()
 	eng.Run(f.end)
 	f.stop()
-	res := f.collect(eng.Executed())
+	res := f.collect()
 	eng.Close()
 	return res, nil
 }
 
-// buildFleet constructs the run state for one engine. owns selects the
-// machines this engine simulates (nil = all): construction still walks
-// every machine index in order — the engine-RNG draw sequence (one
-// service split per machine x tenant, then one generator split per
-// tenant) is part of the run's definition and must be identical on every
-// shard replica — but kernels, services, and detectors materialize only
-// for owned machines; the rest stay nil.
-func buildFleet(cfg FleetConfig, eng *sim.Engine, owns func(m int) bool) (*fleet, error) {
+// buildFleet constructs the run state on eng. Construction order is part
+// of the run's definition: the engine-RNG draw sequence is one service
+// split per machine x tenant, then one generator split per tenant.
+func buildFleet(cfg FleetConfig, eng *sim.Engine) (*fleet, error) {
 	totalShare := 0.0
 	for i := range cfg.Tenants {
 		totalShare += cfg.Tenants[i].Share
@@ -385,8 +344,7 @@ func buildFleet(cfg FleetConfig, eng *sim.Engine, owns func(m int) bool) (*fleet
 		issued:  make([][]uint64, cfg.Machines),
 	}
 
-	// Build machines in index order; construction order is part of the
-	// run's definition (RNG splits, thread spawn order).
+	// Build machines in index order (RNG splits, thread spawn order).
 	perSocket := (cfg.Machine.Cores + 1) / 2
 	if perSocket < 1 {
 		perSocket = 1
@@ -394,15 +352,6 @@ func buildFleet(cfg FleetConfig, eng *sim.Engine, owns func(m int) bool) (*fleet
 	topo := hw.Topology{Sockets: 2, CoresPerSocket: perSocket, ThreadsPerCore: cfg.Machine.SMT}
 	for m := 0; m < cfg.Machines; m++ {
 		f.issued[m] = make([]uint64, len(cfg.Tenants))
-		if owns != nil && !owns(m) {
-			// Replica lockstep: burn the service RNG splits the owning
-			// shard draws for this machine, without building it.
-			for range cfg.Tenants {
-				eng.Rand().Split()
-			}
-			f.machines = append(f.machines, nil)
-			continue
-		}
 		pol := cfg.Machine.SchedPolicy
 		if len(cfg.MachinePolicies) > 0 {
 			pol = cfg.MachinePolicies[m%len(cfg.MachinePolicies)]
@@ -448,23 +397,14 @@ func buildFleet(cfg FleetConfig, eng *sim.Engine, owns func(m int) bool) (*fleet
 			}
 			rec := &stats.Digest{}
 			mc.recs = append(mc.recs, rec)
-			workers := ts.Workers
-			if workers <= 0 {
-				workers = 1
-			}
 			mc.svcs = append(mc.svcs, workload.NewService(k, workload.ServiceConfig{
 				Name:    fmt.Sprintf("m%d-%s", m, ts.Name),
-				Workers: workers,
+				Workers: ts.Workers,
 				Shards:  shards,
 				Parse:   3 * sim.Microsecond,
 				Lookup:  1500 * sim.Nanosecond,
 				Send:    3 * sim.Microsecond,
 				Latency: rec,
-				// The explicit RNG pins the engine-RNG draw to this point
-				// in construction order, owned or not; NewService would
-				// draw the identical split itself, but un-owned machines
-				// must burn the same draw (above) for replica lockstep.
-				RNG: eng.Rand().Split(),
 				OnDone: func(req *workload.Request, lat sim.Duration) {
 					f.disp.Done(req.Machine, lat)
 				},
@@ -494,7 +434,7 @@ func buildFleet(cfg FleetConfig, eng *sim.Engine, owns func(m int) bool) (*fleet
 // start arms the per-machine detectors.
 func (f *fleet) start() {
 	for _, mc := range f.machines {
-		if mc != nil && mc.det != nil {
+		if mc.det != nil {
 			mc.det.Start()
 		}
 	}
@@ -504,12 +444,12 @@ func (f *fleet) start() {
 // RunToCompletion's end-of-run sampler flush.
 func (f *fleet) stop() {
 	for _, mc := range f.machines {
-		if mc != nil && mc.det != nil {
+		if mc.det != nil {
 			mc.det.Stop()
 		}
 	}
 	for _, mc := range f.machines {
-		if mc != nil && mc.smp != nil {
+		if mc.smp != nil {
 			mc.smp.Sample(mc.k, f.eng.Now())
 		}
 	}
@@ -517,11 +457,8 @@ func (f *fleet) stop() {
 
 // collect reduces the run state into a FleetResult. All aggregation is
 // digest merges and integer sums — deterministic in any order, iterated in
-// index order anyway. events is the executed-event count: the engine's
-// counter on the serial path, the de-duplicated merge across shard
-// engines on the sharded one (every machine in f.machines is non-nil by
-// the time collect runs — runSharded grafts owned machines into one view).
-func (f *fleet) collect(events uint64) *FleetResult {
+// index order anyway.
+func (f *fleet) collect() *FleetResult {
 	cfg := f.cfg
 	measure := cfg.Duration - cfg.Warmup
 
@@ -530,7 +467,7 @@ func (f *fleet) collect(events uint64) *FleetResult {
 		Policy:     f.disp.Policy(),
 		Arrival:    cfg.Arrival,
 		OfferedQPS: cfg.QPS,
-		Events:     events,
+		Events:     f.eng.Executed(),
 	}
 	if res.Arrival == "" {
 		res.Arrival = "poisson"

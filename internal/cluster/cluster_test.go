@@ -216,17 +216,13 @@ func TestFleetConfigErrors(t *testing.T) {
 }
 
 // TestRunReleasesThreadGoroutines: Run stops the simulated threads still
-// parked at the horizon, serial and sharded, so a process that runs many
-// fleets does not accumulate their coroutines (and with them every
-// fleet's kernels).
+// parked at the horizon, so a process that runs many fleets does not
+// accumulate their coroutines (and with them every fleet's kernels).
 func TestRunReleasesThreadGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 4; i++ {
 		cfg := smallFleet(2, uint64(i+1))
 		cfg.Duration = 20 * sim.Millisecond
-		if i%2 == 1 {
-			cfg.Shards = 2
-		}
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -6,10 +6,9 @@ import (
 	"oversub/internal/sched"
 )
 
-// TestCrossKernelWaitPanics pins the shard-affinity guard: a thread from
-// one kernel entering another kernel's epoll path must fail at the
-// crossing — under sharded fleet execution the two kernels may be running
-// on different engines concurrently.
+// TestCrossKernelWaitPanics pins the kernel-affinity guard: a thread from
+// one kernel entering another kernel's epoll path (two machines of one
+// fleet engine) must fail at the crossing.
 func TestCrossKernelWaitPanics(t *testing.T) {
 	k1 := testKernel(t, 1, sched.Features{})
 	k2 := testKernel(t, 1, sched.Features{})

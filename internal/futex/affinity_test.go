@@ -6,11 +6,9 @@ import (
 	"oversub/internal/sched"
 )
 
-// TestCrossKernelWaitPanics pins the shard-affinity guard: a thread from
-// one kernel entering another kernel's futex path is a cross-shard state
-// leak (under sharded fleet execution the two kernels may be executing on
-// different engines concurrently) and must fail at the crossing, not
-// corrupt two runqueues.
+// TestCrossKernelWaitPanics pins the kernel-affinity guard: a thread from
+// one kernel entering another kernel's futex path (two machines of one
+// fleet engine) must fail at the crossing, not corrupt two runqueues.
 func TestCrossKernelWaitPanics(t *testing.T) {
 	k1 := testKernel(t, 1, sched.Features{})
 	k2 := testKernel(t, 1, sched.Features{})

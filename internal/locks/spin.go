@@ -16,7 +16,7 @@ var sigCounter atomic.Uint64
 
 // newSig allocates a distinct spin-loop signature (branch address pair).
 func newSig(iterNS float64, pause bool) hw.SpinSig {
-	//simlint:allow shardsafe -- results depend only on signature distinctness, never on which run or shard drew which value (the contract stated above); the counter is atomic, so concurrent shard workers allocating locks cannot tear it
+	//simlint:allow shardsafe -- results depend only on signature distinctness, never on which run drew which value (the contract stated above); the counter is atomic, so concurrent runner jobs allocating locks cannot tear it
 	return hw.NewSpinSig(0x400000+sigCounter.Add(1)*0x200, iterNS, pause)
 }
 

@@ -306,14 +306,14 @@ func (k *Kernel) Engine() *sim.Engine { return k.eng }
 
 // AssertOwns panics unless t belongs to this kernel. Kernel-path entry
 // points that accept caller-supplied threads (futex wait, epoll wait and
-// thread-context post) call it so a thread routed across shard/machine
-// boundaries — for example a request object captured by a closure on the
-// wrong machine under sharded fleet execution — fails immediately and
-// deterministically at the crossing, instead of racing two engines'
-// runqueues and corrupting both silently.
+// thread-context post) call it. Every machine of a fleet runs on one
+// engine, so a thread handed to another machine's kernel — for example a
+// request object captured by a closure on the wrong machine — would
+// otherwise run silently on a runqueue it does not belong to; the check
+// fails at the crossing instead.
 func (k *Kernel) AssertOwns(t *Thread) {
 	if t != nil && t.k != k {
-		panic("sched: thread " + t.Name + " belongs to a different kernel: cross-shard state leak")
+		panic("sched: thread " + t.Name + " belongs to a different kernel: cross-machine state leak")
 	}
 }
 

@@ -13,7 +13,7 @@ import "oversub/internal/sim"
 // Determinism obligations: a Policy implementation must be a pure function
 // of committed simulation state. It must not read wall-clock time, use any
 // RNG other than the kernel's, retain cross-kernel shared state (the
-// registry builds a fresh instance per kernel so parallel runner shards
+// registry builds a fresh instance per kernel so concurrent runner jobs
 // never share one), or allocate on the hot paths (PickNext, Less, Tick,
 // Enqueue, Dequeue, Woken, WakePreempts, StealCandidate are all reached
 // from //simlint:hotpath code).
