@@ -26,7 +26,7 @@ func runBlameCheck(o options, path string) error {
 		Seed:     o.seed,
 	}
 	cfg.Machine.SchedPolicy = o.policy
-	rings := cluster.AttachTracers(&cfg, 1<<21)
+	rings := cluster.AttachTracers(&cfg, completeStreamCap)
 	if _, err := cluster.Run(cfg); err != nil {
 		return fmt.Errorf("hpdc21: blame run: %w", err)
 	}
@@ -36,7 +36,7 @@ func runBlameCheck(o options, path string) error {
 		if m.Dropped > 0 {
 			return fmt.Errorf("hpdc21: machine %d trace ring wrapped (%d events dropped); cannot attribute", m.Machine, m.Dropped)
 		}
-		vs := append(trace.CheckInvariants(m.Events), trace.CheckBlame(m.Events)...)
+		vs := trace.CheckStream(m.Events)
 		if len(vs) > 0 {
 			for i, v := range vs {
 				if i >= 20 {
@@ -102,7 +102,7 @@ func blamePolicies(e *env) {
 			cfg.Machine.SchedPolicy = pol
 			cfg.Machine.Feat = v.Feat
 			cfg.Machine.Detect = v.Detect
-			rings := cluster.AttachTracers(&cfg, 1<<21)
+			rings := cluster.AttachTracers(&cfg, completeStreamCap)
 			if _, err := cluster.Run(cfg); err != nil {
 				fmt.Fprintf(os.Stderr, "hpdc21: blame_policies %s/%s: %v\n", pol, v.Label, err)
 				continue
@@ -112,7 +112,7 @@ func blamePolicies(e *env) {
 				fmt.Fprintf(os.Stderr, "hpdc21: blame_policies %s/%s: ring wrapped (%d dropped)\n", pol, v.Label, m.Dropped)
 				continue
 			}
-			if vs := append(trace.CheckInvariants(m.Events), trace.CheckBlame(m.Events)...); len(vs) > 0 {
+			if vs := trace.CheckStream(m.Events); len(vs) > 0 {
 				fmt.Fprintf(os.Stderr, "hpdc21: blame_policies %s/%s: %d trace-invariant violations (first: %s)\n",
 					pol, v.Label, len(vs), vs[0])
 				continue

@@ -50,7 +50,7 @@ func policies(e *env) {
 	pols := oversub.PolicyNames()
 
 	run := func(pol string, feat oversub.Features) policyCell {
-		ring := oversub.NewTraceRing(1 << 22)
+		ring := oversub.NewTraceRing(completeStreamCap)
 		r := oversub.RunBenchmark(spec, oversub.BenchConfig{
 			Threads: 16, Cores: 4, Seed: e.o.seed, WorkScale: scale,
 			Feat: feat, Policy: pol, Tracer: ring,
@@ -61,10 +61,11 @@ func policies(e *env) {
 		if ring.Dropped() > 0 {
 			return policyCell{err: fmt.Errorf("trace ring wrapped (%d events dropped)", ring.Dropped())}
 		}
-		if vs := ring.Check(); len(vs) > 0 {
+		events := ring.Events()
+		if vs := trace.CheckStream(events); len(vs) > 0 {
 			return policyCell{err: fmt.Errorf("%d trace-invariant violations (first: %s)", len(vs), vs[0])}
 		}
-		a := trace.Analyze(ring.Events())
+		a := trace.Analyze(events)
 		e.pool.ReportSim(int64(r.ExecTime))
 		return policyCell{
 			execMS:  r.ExecTime.Millis(),

@@ -335,13 +335,19 @@ func runBench(pool *runner.Pool, spec *oversub.BenchSpec, f *runFlags, stdout, s
 	return nil
 }
 
+// completeStreamCap bounds every ring whose stream must not wrap: blame
+// attribution (run -blame, hpdc21 -blame, blame_policies) and the
+// policies oracle. Rings grow on demand, so the bound costs nothing until
+// a run reaches it.
+const completeStreamCap = 1 << 22
+
 // traceCapacity sizes a run's trace ring. Blame attribution needs the
 // complete stream (a wrapped ring cannot be attributed), so -blame runs
-// get a larger ring than plain -trace runs, where wrapping only skips
-// the oracle.
+// get the complete-stream bound; plain -trace runs keep a smaller one,
+// where wrapping only warns and skips the oracle.
 func traceCapacity(blameTo string) int {
 	if blameTo != "" {
-		return 1 << 22
+		return completeStreamCap
 	}
 	return 1 << 20
 }
@@ -367,11 +373,12 @@ func emitBlame(ring *oversub.TraceRing, path string, names []string, stderr io.W
 	if ring.Dropped() > 0 {
 		return fmt.Errorf("hpdc21: trace ring wrapped (%d events dropped); blame needs the complete stream — shorten the run", ring.Dropped())
 	}
-	if n := reportViolations(stderr, "", ring.Check(), 20); n > 0 {
+	events := ring.Events()
+	if n := reportViolations(stderr, "", trace.CheckStream(events), 20); n > 0 {
 		return fmt.Errorf("hpdc21: %d trace-invariant violations", n)
 	}
 	return writeFile(path, func(w io.Writer) error {
-		return trace.WriteBlame(w, trace.ComputeBlame(ring.Events()), names, 0)
+		return trace.WriteBlame(w, trace.ComputeBlame(events), names, 0)
 	})
 }
 
@@ -388,19 +395,24 @@ func emitMetrics(s *oversub.MetricsSampler, path, format string) error {
 // not a formatting problem. A wrapped ring only warns — the oracle needs a
 // complete stream.
 func emitTrace(ring *oversub.TraceRing, path, format string, stderr io.Writer) error {
-	if ring.Dropped() > 0 {
-		fmt.Fprintf(stderr, "hpdc21: trace ring wrapped (%d events dropped); invariant oracle skipped\n", ring.Dropped())
-	} else if n := reportViolations(stderr, "", ring.Check(), 20); n > 0 {
+	events, dropped := ring.Events(), ring.Dropped()
+	if dropped > 0 {
+		fmt.Fprintf(stderr, "hpdc21: trace ring wrapped (%d events dropped); invariant oracle skipped\n", dropped)
+	} else if n := reportViolations(stderr, "", trace.CheckStream(events), 20); n > 0 {
 		return fmt.Errorf("hpdc21: %d trace-invariant violations", n)
 	}
 	return writeFile(path, func(w io.Writer) error {
 		switch format {
 		case "json":
-			return trace.WriteChromeTrace(w, ring.Events())
+			return trace.WriteChromeTrace(w, events)
 		case "summary":
-			return trace.WriteSummary(w, ring.Events(), ring.Dropped())
+			return trace.WriteSummary(w, events, dropped)
 		}
-		_, err := ring.WriteTo(w)
+		// Text: the same bytes as Ring.WriteTo, rendered from the snapshot.
+		if err := trace.WriteEvents(w, events); err != nil || dropped == 0 {
+			return err
+		}
+		_, err := fmt.Fprintf(w, "(%d older events dropped)\n", dropped)
 		return err
 	})
 }

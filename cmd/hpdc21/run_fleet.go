@@ -231,8 +231,7 @@ func checkFleetTrace(ms []trace.MachineEvents, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "hpdc21: machine %d trace ring wrapped (%d events dropped); invariant oracle skipped\n", m.Machine, m.Dropped)
 			continue
 		}
-		vs := append(trace.CheckInvariants(m.Events), trace.CheckBlame(m.Events)...)
-		bad += reportViolations(stderr, fmt.Sprintf("machine %d: ", m.Machine), vs, 10)
+		bad += reportViolations(stderr, fmt.Sprintf("machine %d: ", m.Machine), trace.CheckStream(m.Events), 10)
 	}
 	if bad > 0 {
 		return fmt.Errorf("hpdc21: %d trace-invariant violations across the fleet", bad)

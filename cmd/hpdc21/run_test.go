@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"oversub"
 )
 
 // TestRunRejectsConflictingFlags pins the run subcommand's usage errors:
@@ -63,6 +65,34 @@ func TestRunList(t *testing.T) {
 	for _, want := range []string{"streamcluster", "memcached"} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("-list output lacks %s:\n%s", want, stdout.String())
+		}
+	}
+}
+
+// TestEmitTraceTextMatchesWriteTo: the text export renders from the one
+// snapshot emitTrace takes, and must stay byte-identical to Ring.WriteTo,
+// dropped-events trailer included.
+func TestEmitTraceTextMatchesWriteTo(t *testing.T) {
+	for _, n := range []int{3, 10} {
+		ring := oversub.NewTraceRing(4)
+		for i := 0; i < n; i++ {
+			ring.Trace(oversub.Time(i), 0, i, "spawn", 0)
+		}
+		path := filepath.Join(t.TempDir(), "trace.txt")
+		var stderr bytes.Buffer
+		if err := emitTrace(ring, path, "text", &stderr); err != nil {
+			t.Fatalf("%d events: %v (stderr %q)", n, err, stderr.String())
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if _, err := ring.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%d events: emitTrace text differs from Ring.WriteTo:\n%s\nwant:\n%s", n, got, want.Bytes())
 		}
 	}
 }

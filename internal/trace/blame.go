@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"oversub/internal/sim"
@@ -161,18 +162,21 @@ func blameWalk(events []Event) (*Blame, []Violation) {
 		out = append(out, Violation{Index: i, Event: events[i], Msg: fmt.Sprintf(msg, args...)})
 	}
 
-	maxTID := -1
+	maxTID, arrivals := -1, 0
 	for _, e := range events {
 		if e.Thread > maxTID {
 			maxTID = e.Thread
+		}
+		if e.Kind == ReqArrive {
+			arrivals++
 		}
 	}
 	ts := make([]bthread, maxTID+1)
 	for i := range ts {
 		ts[i].req = -1
 	}
-	var reqs []breq
-	spanIdx := make(map[uint64]int)
+	reqs := make([]breq, 0, arrivals)
+	spanIdx := make(map[uint64]int, arrivals)
 
 	var end sim.Time
 	if len(events) > 0 {
@@ -320,7 +324,10 @@ func blameWalk(events []Event) (*Blame, []Violation) {
 		}
 	}
 
-	b := &Blame{}
+	b := &Blame{
+		Threads:  make([]ThreadBlame, 0, len(ts)),
+		Requests: make([]RequestBlame, 0, len(reqs)),
+	}
 	for id := range ts {
 		t := &ts[id]
 		if !t.seen {
@@ -397,26 +404,15 @@ type BlameRow struct {
 // BlameRows buckets a machine's completed requests by tenant, in tenant
 // order.
 func BlameRows(machine int, b *Blame) []BlameRow {
-	byTenant := make(map[int]*BlameRow)
-	var tenants []int
+	out := tenantRows(machine, len(b.Requests), func(i int) int { return b.Requests[i].Tenant })
 	for i := range b.Requests {
 		r := &b.Requests[i]
-		row, ok := byTenant[r.Tenant]
-		if !ok {
-			row = &BlameRow{Machine: machine, Tenant: r.Tenant}
-			byTenant[r.Tenant] = row
-			tenants = append(tenants, r.Tenant)
-		}
+		row := rowOf(out, r.Tenant)
 		row.Requests++
 		for c := Component(0); c < NumComponents; c++ {
 			row.Comp[c].Add(r.Comp[c])
 		}
 		row.Total.Add(r.Latency())
-	}
-	sort.Ints(tenants)
-	out := make([]BlameRow, 0, len(tenants))
-	for _, tn := range tenants {
-		out = append(out, *byTenant[tn])
 	}
 	return out
 }
@@ -424,28 +420,40 @@ func BlameRows(machine int, b *Blame) []BlameRow {
 // MergeBlameRows folds per-machine rows into per-tenant fleet rows
 // (Machine = -1), merging every sub-digest pairwise.
 func MergeBlameRows(rows []BlameRow) []BlameRow {
-	byTenant := make(map[int]*BlameRow)
-	var tenants []int
+	out := tenantRows(-1, len(rows), func(i int) int { return rows[i].Tenant })
 	for i := range rows {
 		r := &rows[i]
-		m, ok := byTenant[r.Tenant]
-		if !ok {
-			m = &BlameRow{Machine: -1, Tenant: r.Tenant}
-			byTenant[r.Tenant] = m
-			tenants = append(tenants, r.Tenant)
-		}
+		m := rowOf(out, r.Tenant)
 		m.Requests += r.Requests
 		for c := range m.Comp {
 			m.Comp[c].Merge(&r.Comp[c])
 		}
 		m.Total.Merge(&r.Total)
 	}
-	sort.Ints(tenants)
-	out := make([]BlameRow, 0, len(tenants))
-	for _, tn := range tenants {
-		out = append(out, *byTenant[tn])
+	return out
+}
+
+// tenantRows returns one empty row per distinct tenantOf(0..n-1), in
+// tenant order. Rows are large (nine digests), so they are built in place
+// rather than behind pointers and copied out.
+func tenantRows(machine, n int, tenantOf func(int) int) []BlameRow {
+	var tenants []int
+	for i := 0; i < n; i++ {
+		if tn := tenantOf(i); !slices.Contains(tenants, tn) {
+			tenants = append(tenants, tn)
+		}
+	}
+	slices.Sort(tenants)
+	out := make([]BlameRow, len(tenants))
+	for i, tn := range tenants {
+		out[i].Machine, out[i].Tenant = machine, tn
 	}
 	return out
+}
+
+// rowOf returns the row of tenant in rows built by tenantRows.
+func rowOf(rows []BlameRow, tenant int) *BlameRow {
+	return &rows[sort.Search(len(rows), func(i int) bool { return rows[i].Tenant >= tenant })]
 }
 
 // ---------------------------------------------------------------------------

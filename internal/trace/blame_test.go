@@ -246,3 +246,89 @@ func TestBlameRowsMerge(t *testing.T) {
 		}
 	}
 }
+
+// TestBlameRowsMultiTenant pins BlameRows and MergeBlameRows on a
+// hand-built stream: one worker serves five requests of three tenants,
+// arriving out of tenant order and reusing span 0 across tenants. Rows
+// come out in tenant order with every digest's count, sum and extremes
+// known in advance; merging two machines' rows doubles each count.
+func TestBlameRowsMultiTenant(t *testing.T) {
+	us := func(n int64) sim.Time { return sim.Time(n) * sim.Time(sim.Microsecond) }
+	req := func(at int64, kind Kind, span uint64, tenant int) Event {
+		if kind == ReqArrive {
+			return Event{At: us(at), CPU: -1, Thread: -1, Kind: kind, Arg: SpanArg(span, tenant)}
+		}
+		return Event{At: us(at), CPU: 0, Thread: 0, Kind: kind, Arg: SpanArg(span, tenant)}
+	}
+	events := []Event{
+		{At: us(0), CPU: 0, Thread: 0, Kind: Spawn},
+		{At: us(0), CPU: 0, Thread: 0, Kind: Enqueue, Arg: 1},
+		{At: us(0), CPU: 0, Thread: 0, Kind: Dispatch},
+		req(1, ReqArrive, 0, 2), req(2, ReqStart, 0, 2),
+		req(3, ReqArrive, 0, 0), req(5, ReqEnd, 0, 2),
+		req(6, ReqStart, 0, 0), req(7, ReqArrive, 1, 2),
+		req(8, ReqEnd, 0, 0), req(8, ReqArrive, 0, 1),
+		req(9, ReqStart, 1, 2), req(10, ReqEnd, 1, 2),
+		req(11, ReqStart, 0, 1), req(12, ReqArrive, 1, 0),
+		req(15, ReqEnd, 0, 1), req(16, ReqStart, 1, 0),
+		req(17, ReqEnd, 1, 0),
+		{At: us(18), CPU: 0, Thread: 0, Kind: Exit},
+	}
+	if vs := CheckStream(events); len(vs) != 0 {
+		t.Fatalf("stream fails the oracle: %v", vs)
+	}
+	b := ComputeBlame(events)
+	if len(b.Requests) != 5 || b.Incomplete != 0 {
+		t.Fatalf("got %d requests (%d incomplete), want 5 (0)", len(b.Requests), b.Incomplete)
+	}
+
+	d := func(n int64) sim.Duration { return sim.Duration(n) * sim.Microsecond }
+	type want struct {
+		tenant          int
+		requests        uint64
+		queue, oncpu    sim.Duration
+		total, min, max sim.Duration
+	}
+	wants := []want{
+		{tenant: 0, requests: 2, queue: d(7), oncpu: d(3), total: d(10), min: d(5), max: d(5)},
+		{tenant: 1, requests: 1, queue: d(3), oncpu: d(4), total: d(7), min: d(7), max: d(7)},
+		{tenant: 2, requests: 2, queue: d(3), oncpu: d(4), total: d(7), min: d(3), max: d(4)},
+	}
+	checkRows := func(label string, rows []BlameRow, machine int, scale uint64) {
+		t.Helper()
+		if len(rows) != len(wants) {
+			t.Fatalf("%s: %d rows, want %d", label, len(rows), len(wants))
+		}
+		for i, w := range wants {
+			r := &rows[i]
+			s := sim.Duration(scale)
+			if r.Machine != machine || r.Tenant != w.tenant || r.Requests != scale*w.requests {
+				t.Errorf("%s row %d: machine %d tenant %d requests %d, want %d %d %d",
+					label, i, r.Machine, r.Tenant, r.Requests, machine, w.tenant, scale*w.requests)
+			}
+			if got := r.Comp[CompQueue].Sum(); got != s*w.queue {
+				t.Errorf("%s tenant %d: queue sum %v, want %v", label, w.tenant, got, s*w.queue)
+			}
+			if got := r.Comp[CompOnCPU].Sum(); got != s*w.oncpu {
+				t.Errorf("%s tenant %d: oncpu sum %v, want %v", label, w.tenant, got, s*w.oncpu)
+			}
+			for c := Component(0); c < NumComponents; c++ {
+				if n := r.Comp[c].Count(); n != r.Requests {
+					t.Errorf("%s tenant %d: %v digest holds %d samples, want %d", label, w.tenant, c, n, r.Requests)
+				}
+				if c != CompQueue && c != CompOnCPU && r.Comp[c].Sum() != 0 {
+					t.Errorf("%s tenant %d: %v sum %v, want 0", label, w.tenant, c, r.Comp[c].Sum())
+				}
+			}
+			if r.Total.Count() != r.Requests || r.Total.Sum() != s*w.total ||
+				r.Total.Min() != w.min || r.Total.Max() != w.max {
+				t.Errorf("%s tenant %d: total n=%d sum=%v min=%v max=%v, want n=%d sum=%v min=%v max=%v",
+					label, w.tenant, r.Total.Count(), r.Total.Sum(), r.Total.Min(), r.Total.Max(),
+					r.Requests, s*w.total, w.min, w.max)
+			}
+		}
+	}
+	rows := BlameRows(4, b)
+	checkRows("BlameRows", rows, 4, 1)
+	checkRows("MergeBlameRows", MergeBlameRows(append(append([]BlameRow{}, rows...), rows...)), -1, 2)
+}

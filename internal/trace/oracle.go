@@ -262,6 +262,12 @@ func (r *Ring) Check() []Violation {
 		return []Violation{{Index: -1, Msg: fmt.Sprintf(
 			"ring wrapped (%d events dropped): grow the capacity to validate invariants", r.Dropped())}}
 	}
-	events := r.Events()
+	return CheckStream(r.Events())
+}
+
+// CheckStream runs the full oracle on a complete stream: the lifecycle
+// invariants (CheckInvariants) plus the blame exactness invariant
+// (CheckBlame). It is Ring.Check for a snapshot already taken.
+func CheckStream(events []Event) []Violation {
 	return append(CheckInvariants(events), CheckBlame(events)...)
 }

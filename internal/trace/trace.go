@@ -96,21 +96,34 @@ func (e Event) String() string {
 	return fmt.Sprintf("%-12v cpu%-3d t%-4d %-14s %d", e.At, e.CPU, e.Thread, e.Kind, e.Arg)
 }
 
-// Ring is a bounded in-memory trace buffer implementing sched.Tracer.
+// Ring is a bounded in-memory trace buffer implementing sched.Tracer. It
+// grows on demand up to its capacity, one fixed-size chunk at a time, so a
+// run pays for the events it records, not for the bound.
 type Ring struct {
-	events  []Event
-	next    int
-	full    bool
-	dropped uint64
-	filter  map[Kind]bool
+	chunks   [][]Event // slot i lives at chunks[i>>chunkShift][i&chunkMask]
+	n        int       // events retained
+	capacity int
+	next     int // once wrapped: the slot of the oldest event
+	dropped  uint64
+	filter   map[Kind]bool
 }
 
-// NewRing allocates a tracer holding the most recent capacity events.
+// Ring storage grows in chunks of chunkLen events (48 KB). Chunks are never
+// copied or freed before the ring is; the last one is clamped so the slots
+// total exactly the capacity.
+const (
+	chunkShift = 10
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
+// NewRing returns a tracer holding the most recent capacity events. It
+// stores only the bound: storage is allocated as events arrive.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = 1 << 16
 	}
-	return &Ring{events: make([]Event, 0, capacity)}
+	return &Ring{capacity: capacity}
 }
 
 // Only restricts recording to the given kinds. Calling it with no kinds
@@ -127,6 +140,9 @@ func (r *Ring) Only(kinds ...Kind) *Ring {
 	return r
 }
 
+// slot returns the storage of ring slot i.
+func (r *Ring) slot(i int) *Event { return &r.chunks[i>>chunkShift][i&chunkMask] }
+
 // Trace implements the kernel's tracer hook.
 func (r *Ring) Trace(at sim.Time, cpu, thread int, kind string, arg int64) {
 	k := Kind(kind)
@@ -134,27 +150,35 @@ func (r *Ring) Trace(at sim.Time, cpu, thread int, kind string, arg int64) {
 		return
 	}
 	ev := Event{At: at, CPU: cpu, Thread: thread, Kind: k, Arg: arg}
-	if len(r.events) < cap(r.events) {
-		r.events = append(r.events, ev)
+	if r.n < r.capacity {
+		if r.n&chunkMask == 0 {
+			r.chunks = append(r.chunks, make([]Event, min(chunkLen, r.capacity-r.n)))
+		}
+		*r.slot(r.n) = ev
+		r.n++
 		return
 	}
 	// Overwrite the oldest entry.
-	r.events[r.next] = ev
-	r.next = (r.next + 1) % cap(r.events)
-	r.full = true
+	*r.slot(r.next) = ev
+	r.next = (r.next + 1) % r.capacity
 	r.dropped++
 }
 
 // Events returns the recorded events in chronological order.
 func (r *Ring) Events() []Event {
-	if !r.full {
-		out := make([]Event, len(r.events))
-		copy(out, r.events)
-		return out
+	out := make([]Event, 0, r.n)
+	out = r.appendSlots(out, r.next, r.n)
+	return r.appendSlots(out, 0, r.next)
+}
+
+// appendSlots appends the events of slots [lo, hi) to out, chunk by chunk.
+func (r *Ring) appendSlots(out []Event, lo, hi int) []Event {
+	for lo < hi {
+		seg := r.chunks[lo>>chunkShift][lo&chunkMask:]
+		seg = seg[:min(len(seg), hi-lo)]
+		out = append(out, seg...)
+		lo += len(seg)
 	}
-	out := make([]Event, 0, cap(r.events))
-	out = append(out, r.events[r.next:]...)
-	out = append(out, r.events[:r.next]...)
 	return out
 }
 
@@ -162,7 +186,7 @@ func (r *Ring) Events() []Event {
 func (r *Ring) Dropped() uint64 { return r.dropped }
 
 // Len returns the number of retained events.
-func (r *Ring) Len() int { return len(r.events) }
+func (r *Ring) Len() int { return r.n }
 
 // Summary counts events by kind. Textual consumers should prefer Counts:
 // ranging over the returned map prints in randomized order.

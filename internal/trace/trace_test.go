@@ -1,6 +1,8 @@
 package trace_test
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -78,6 +80,93 @@ func TestRingOverwritesOldest(t *testing.T) {
 	evs := r.Events()
 	if evs[0].Thread != 6 || evs[3].Thread != 9 {
 		t.Errorf("ring kept %v..%v, want 6..9", evs[0].Thread, evs[3].Thread)
+	}
+}
+
+// TestRingMatchesModel feeds 2×capacity+7 events through rings of sizes
+// around the chunk boundary and checks them against a naive "keep the last
+// N" model at checkpoints across the fill, the first chunk allocations and
+// the wrap: Events order, Len, Dropped and the WriteTo trailer. The
+// filtered variant installs Only before the first event, so the filter
+// governs every growth step.
+func TestRingMatchesModel(t *testing.T) {
+	for _, c := range []int{1, 3, 1000, 1024, 1025, 5000} {
+		for _, filtered := range []bool{false, true} {
+			t.Run(fmt.Sprintf("cap%d/filtered=%v", c, filtered), func(t *testing.T) {
+				r := NewRing(c)
+				if filtered {
+					r.Only(Dispatch)
+				}
+				total := 2*c + 7
+				check := map[int]bool{1: true, 2: true, c - 1: true, c: true, c + 1: true,
+					1023: true, 1024: true, 1025: true, 2049: true, c + 1030: true, total: true}
+				var model []Event // every recorded event; the ring keeps the tail
+				for i := 1; i <= total; i++ {
+					if filtered {
+						r.Trace(sim.Time(i), 1, i, string(Wake), -1) // filtered out
+					}
+					ev := Event{At: sim.Time(i), CPU: i % 4, Thread: i, Kind: Dispatch, Arg: int64(i)}
+					r.Trace(ev.At, ev.CPU, ev.Thread, string(ev.Kind), ev.Arg)
+					model = append(model, ev)
+					if check[i] {
+						checkRingModel(t, r, model, c)
+					}
+				}
+			})
+		}
+	}
+}
+
+// checkRingModel compares r with the last capacity entries of model.
+func checkRingModel(t *testing.T, r *Ring, model []Event, capacity int) {
+	t.Helper()
+	n := len(model)
+	keep := model[max(0, n-capacity):]
+	if r.Len() != len(keep) {
+		t.Fatalf("after %d events: Len = %d, want %d", n, r.Len(), len(keep))
+	}
+	if want := uint64(n - len(keep)); r.Dropped() != want {
+		t.Fatalf("after %d events: Dropped = %d, want %d", n, r.Dropped(), want)
+	}
+	got := r.Events()
+	if len(got) != len(keep) || cap(got) != len(keep) {
+		t.Fatalf("after %d events: Events len/cap = %d/%d, want %d", n, len(got), cap(got), len(keep))
+	}
+	for i := range keep {
+		if got[i] != keep[i] {
+			t.Fatalf("after %d events: Events()[%d] = %v, want %v", n, i, got[i], keep[i])
+		}
+	}
+	var sb strings.Builder
+	if _, err := r.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, e := range keep {
+		fmt.Fprintln(&want, e.String())
+	}
+	if d := n - len(keep); d > 0 {
+		fmt.Fprintf(&want, "(%d older events dropped)\n", d)
+	}
+	if sb.String() != want.String() {
+		t.Fatalf("after %d events: WriteTo differs from the model", n)
+	}
+}
+
+// TestRingAllocatesWhatItRecords: a ring's capacity is a wrap bound, not
+// preallocated memory. 10,000 events in a 2M-event ring must allocate
+// under 1 MB, where a ring preallocated to its capacity costs 96 MB.
+func TestRingAllocatesWhatItRecords(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewRing(1 << 21)
+	for i := 0; i < 10000; i++ {
+		r.Trace(sim.Time(i), i&7, i&31, string(Dispatch), int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("10,000 events in a 2M-event ring allocated %d bytes, want < 1 MB", got)
 	}
 }
 
