@@ -44,11 +44,11 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== determinism smoke: parallel == serial =="
-# The same quick experiments, serial (-jobs 1) and parallel (-jobs 8),
-# bypassing the cache; the rendered outputs must be byte-identical.
+# The same quick experiments, serial (-jobs 1) and parallel (-jobs 8); the
+# rendered outputs must be byte-identical.
 go build -o "$detdir/hpdc21" ./cmd/hpdc21
-"$detdir/hpdc21" -quick -nocache -jobs 1 fig2 fig9 tab2 >"$detdir/serial.txt" 2>/dev/null
-"$detdir/hpdc21" -quick -nocache -jobs 8 fig2 fig9 tab2 >"$detdir/parallel.txt" 2>/dev/null
+"$detdir/hpdc21" -quick -jobs 1 fig2 fig9 tab2 fleet >"$detdir/serial.txt" 2>/dev/null
+"$detdir/hpdc21" -quick -jobs 8 fig2 fig9 tab2 fleet >"$detdir/parallel.txt" 2>/dev/null
 if ! cmp -s "$detdir/serial.txt" "$detdir/parallel.txt"; then
     echo "determinism smoke FAILED: parallel output differs from serial" >&2
     diff "$detdir/serial.txt" "$detdir/parallel.txt" >&2 || true

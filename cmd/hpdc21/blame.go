@@ -66,13 +66,11 @@ func runBlameCheck(o options, path string) error {
 
 // blamePolicies is the observability experiment: request-latency blame
 // across the scheduling-policy zoo x kernel-variant grid, each cell a
-// 1-machine fleet under the standard tenant mix at fixed load. The cells
-// run serially in-process — trace rings are a side channel the result
-// cache cannot fingerprint, so this experiment deliberately bypasses it.
-// The table shows WHERE each configuration's latency goes: vanilla
-// kernels burn it spinning (analytics' TTAS shards) and futex-sleeping
-// (cache/web shards); VB moves lock waits into vbskip, and BWD
-// deschedules the spinners.
+// 1-machine fleet under the standard tenant mix at fixed load, run
+// serially in-process. The table shows WHERE each configuration's latency
+// goes: vanilla kernels burn it spinning (analytics' TTAS shards) and
+// futex-sleeping (cache/web shards); VB moves lock waits into vbskip, and
+// BWD deschedules the spinners.
 func blamePolicies(e *env) {
 	qps := 60000.0
 	dur := 100 * sim.Millisecond

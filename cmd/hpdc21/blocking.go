@@ -34,7 +34,7 @@ func fig9(e *env) {
 	}
 	hwcs := []cfg{{"8 cores (HT off)", 8, 1}, {"8 hyper-threads on 4 cores", 4, 2}}
 	specs := fig9Specs()
-	type row struct{ base, van, opt benchFuture }
+	type row struct{ base, van, opt future[oversub.BenchResult] }
 	rows := make([][]row, len(hwcs))
 	for hi, hwc := range hwcs {
 		rows[hi] = make([]row, len(specs))
@@ -135,7 +135,7 @@ func tab1(e *env) {
 		scale *= 0.3
 	}
 	specs := fig9Specs()
-	type row struct{ base, van, opt benchFuture }
+	type row struct{ base, van, opt future[oversub.BenchResult] }
 	rows := make([]row, len(specs))
 	for si, spec := range specs {
 		rows[si] = row{
@@ -182,12 +182,12 @@ func fig11(e *env) {
 		oversub.FindBenchmark("cg"),
 	}
 	coreCounts := []int{2, 4, 8, 16, 32}
-	type row [5]benchFuture
+	type row [5]future[oversub.BenchResult]
 	futs := make([][]row, len(specs))
 	for si, spec := range specs {
 		futs[si] = make([]row, len(coreCounts))
 		for ci, cores := range coreCounts {
-			run := func(threads int, feat oversub.Features, detect oversub.DetectMode) benchFuture {
+			run := func(threads int, feat oversub.Features, detect oversub.DetectMode) future[oversub.BenchResult] {
 				return e.bench(spec, oversub.BenchConfig{
 					Threads: threads, Cores: 8, Seed: o.seed, WorkScale: scale,
 					Feat: feat, Detect: detect,

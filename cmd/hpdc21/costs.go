@@ -16,7 +16,7 @@ func fig1(e *env) {
 		scale *= 0.3
 	}
 	specs := oversub.Benchmarks()
-	type row struct{ base, over benchFuture }
+	type row struct{ base, over future[oversub.BenchResult] }
 	rows := make([]row, len(specs))
 	for i, spec := range specs {
 		rows[i].base = e.bench(spec, oversub.BenchConfig{

@@ -14,10 +14,9 @@
 //
 // Runs fan out across -jobs OS threads (every simulation run is an
 // independent single-threaded engine), and results are merged back in
-// submission order, so output is byte-identical to a serial run. Completed
-// runs are cached under results/cache keyed by their full configuration;
-// rerunning recomputes only what changed (-nocache to disable). Progress
-// heartbeats go to stderr.
+// submission order, so output is byte-identical to a serial run. Every
+// invocation recomputes every run it prints. Progress heartbeats go to
+// stderr.
 //
 // The run subcommand (hpdc21 run -bench <name> | -fleet <list> [flags])
 // executes one workload, a repetition batch, a sweep grid, or a fleet
@@ -52,9 +51,8 @@ import (
 
 type options struct {
 	sharedFlags
-	quick   bool
-	outDir  string
-	timeout time.Duration
+	quick  bool
+	outDir string
 }
 
 // sharedFlags are the flags the experiment runner and `hpdc21 run` both
@@ -131,16 +129,9 @@ func main() {
 		}
 	}
 	o := options{}
-	var (
-		nocache  bool
-		cacheDir string
-	)
 	o.register(flag.CommandLine)
 	flag.BoolVar(&o.quick, "quick", false, "reduced problem sizes for a fast pass")
 	flag.StringVar(&o.outDir, "out", "", "also write each experiment's output to <dir>/<name>.txt")
-	flag.DurationVar(&o.timeout, "timeout", 0, "per-run host wall-clock budget (0 = unbounded)")
-	flag.BoolVar(&nocache, "nocache", false, "ignore and do not write the result cache")
-	flag.StringVar(&cacheDir, "cache", filepath.Join("results", "cache"), "result cache directory")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -173,15 +164,6 @@ func main() {
 		}
 	}
 
-	var cache *runner.Cache
-	if !nocache {
-		c, err := runner.OpenCache(cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hpdc21: cache disabled: %v\n", err)
-		} else {
-			cache = c
-		}
-	}
 	pool := runner.New(o.jobs)
 	rep := runner.StartReporter(pool, os.Stderr, 2*time.Second)
 	os.Exit(func() int {
@@ -193,7 +175,7 @@ func main() {
 			return 1
 		}
 		defer stopProf()
-		return runExperiments(selected, o, pool, cache)
+		return runExperiments(selected, o, pool)
 	}())
 }
 
@@ -202,7 +184,7 @@ func main() {
 // pool) and prints the buffers in selection order — parallel execution,
 // byte-identical output. An experiment that fails is reported on stderr
 // and skipped without stopping its siblings.
-func runExperiments(selected []experiment, o options, pool *runner.Pool, cache *runner.Cache) int {
+func runExperiments(selected []experiment, o options, pool *runner.Pool) int {
 	bufs := make([]*bytes.Buffer, len(selected))
 	futs := make([]*runner.Future, len(selected))
 	for i, ex := range selected {
@@ -211,7 +193,7 @@ func runExperiments(selected []experiment, o options, pool *runner.Pool, cache *
 		bufs[i] = buf
 		futs[i] = pool.Submit(nil, runner.Job{Label: ex.name, Fn: func(context.Context) (any, error) {
 			banner(buf, ex.title)
-			ex.run(&env{o: o, out: buf, pool: pool, cache: cache})
+			ex.run(&env{o: o, out: buf, pool: pool})
 			return nil, nil
 		}})
 	}
@@ -226,10 +208,6 @@ func runExperiments(selected []experiment, o options, pool *runner.Pool, cache *
 			fmt.Fprintln(os.Stderr, err)
 			exit = 1
 		}
-	}
-	if cache != nil {
-		h, m := cache.Counts()
-		fmt.Fprintf(os.Stderr, "hpdc21: cache %d hits, %d misses (%s)\n", h, m, cache.Dir())
 	}
 	return exit
 }

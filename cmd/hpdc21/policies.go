@@ -1,12 +1,10 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"os"
 
 	"oversub"
-	"oversub/internal/runner"
 	"oversub/internal/trace"
 )
 
@@ -26,10 +24,7 @@ type policyCell struct {
 // policy runs the paper's headline workload (streamcluster, 16 threads on
 // 4 cores) under vanilla and VB kernels with full tracing, the trace is
 // validated against the invariant oracle, and the derived wake-to-dispatch
-// latency distributions are tabulated. Unlike the figure experiments these
-// runs bypass the result cache: tracers are observation-only (excluded
-// from cache fingerprints), so a cached entry would have no analytics to
-// report.
+// latency distributions are tabulated.
 func policies(e *env) {
 	spec := oversub.FindBenchmark("streamcluster")
 	if spec == nil {
@@ -89,31 +84,19 @@ func policies(e *env) {
 			pts = append(pts, point{pol, vi})
 		}
 	}
-	futs := make([]*runner.Future, len(pts))
+	futs := make([]future[policyCell], len(pts))
 	for i, pt := range pts {
-		pt := pt
-		futs[i] = e.pool.Submit(nil, runner.Job{
-			Label:   fmt.Sprintf("policies/%s/%s", pt.pol, variants[pt.vi].label),
-			Timeout: e.o.timeout,
-			Fn: func(context.Context) (any, error) {
-				return run(pt.pol, variants[pt.vi].feat), nil
-			},
-		})
+		label := fmt.Sprintf("policies/%s/%s", pt.pol, variants[pt.vi].label)
+		futs[i] = submit(e, label, func() policyCell { return run(pt.pol, variants[pt.vi].feat) })
 	}
 
 	fmt.Fprintf(e.out, "streamcluster 16T/4c scale=%.2f seed=%d: wake-to-dispatch latency by policy\n\n", scale, e.o.seed)
 	fmt.Fprintf(e.out, "%-10s %-8s %10s %8s %10s %10s %10s\n",
 		"policy", "variant", "exec(ms)", "wakes", "p50(us)", "p99(us)", "vb p99(us)")
 	for i, pt := range pts {
-		res := futs[i].Wait()
-		if res.Err != nil {
-			fmt.Fprintf(os.Stderr, "hpdc21: run %s failed: %v\n", res.Label, res.Err)
-			fmt.Fprintf(e.out, "%-10s %-8s %10s\n", pt.pol, variants[pt.vi].label, "failed")
-			continue
-		}
-		c := res.Value.(policyCell)
+		c := futs[i].wait()
 		if c.err != nil {
-			fmt.Fprintf(os.Stderr, "hpdc21: run %s: %v\n", res.Label, c.err)
+			fmt.Fprintf(os.Stderr, "hpdc21: run policies/%s/%s: %v\n", pt.pol, variants[pt.vi].label, c.err)
 			fmt.Fprintf(e.out, "%-10s %-8s %10s\n", pt.pol, variants[pt.vi].label, "failed")
 			continue
 		}

@@ -183,7 +183,6 @@ func runFleet(pool *runner.Pool, cfg sweep.FleetSweep, f *runFlags, stdout, stde
 				return nil
 			}
 		}
-		pool = nil // observed runs stay in-process
 	}
 
 	rep, err := sweep.RunFleetOn(pool, cfg)

@@ -70,8 +70,8 @@ func fig14(e *env) {
 	}{{"container", false}, {"VM", true}}
 	threadCounts := []int{8, 16, 32}
 	type row struct {
-		van, opt benchFuture
-		ple      benchFuture
+		van, opt future[oversub.BenchResult]
+		ple      future[oversub.BenchResult]
 		hasPLE   bool
 	}
 	futs := make([][][]row, len(names))
@@ -150,7 +150,7 @@ func tab3(e *env) {
 		scale *= 0.3
 	}
 	names := []string{"is", "ep", "cg", "mg", "ft", "sp", "bt", "ua"}
-	type row struct{ off, on benchFuture }
+	type row struct{ off, on future[oversub.BenchResult] }
 	rows := make([]row, len(names))
 	for ni, name := range names {
 		spec := oversub.FindBenchmark(name)
@@ -193,9 +193,9 @@ func fig15(e *env) {
 	names := []string{"freqmine", "streamcluster", "lu_cb", "ocean", "radix"}
 	impls := []string{"pthread", "mutexee", "mcstp", "shfllock"}
 	type row struct {
-		base  benchFuture
-		locks []benchFuture
-		opt   benchFuture
+		base  future[oversub.BenchResult]
+		locks []future[oversub.BenchResult]
+		opt   future[oversub.BenchResult]
 	}
 	rows := make([]row, len(names))
 	for ni, name := range names {
@@ -204,7 +204,7 @@ func fig15(e *env) {
 			base: e.bench(spec, oversub.BenchConfig{
 				Threads: 8, Cores: 8, Seed: o.seed, WorkScale: scale,
 			}),
-			locks: make([]benchFuture, len(impls)),
+			locks: make([]future[oversub.BenchResult], len(impls)),
 			opt: e.bench(spec, oversub.BenchConfig{
 				Threads: 32, Cores: 8, Seed: o.seed, WorkScale: scale,
 				Feat: oversub.Features{VB: true}, Detect: oversub.DetectBWD,

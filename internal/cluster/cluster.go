@@ -67,8 +67,7 @@ type FleetConfig struct {
 	// robin across the fleet: machine m runs MachinePolicies[m %
 	// len(MachinePolicies)], overriding Machine.SchedPolicy. This models
 	// heterogeneous fleets (e.g. half cfs, half shinjuku) under one
-	// dispatcher. Entries must name registered policies; "" means cfs. It
-	// is a value field, so it participates in result-cache fingerprints.
+	// dispatcher. Entries must name registered policies; "" means cfs.
 	MachinePolicies []string
 	// Arrival selects the arrival process: "poisson", "mmpp", "diurnal"
 	// (default poisson).
@@ -91,16 +90,15 @@ type FleetConfig struct {
 	// carry-over). Nothing else may set it.
 	Shards int `json:"-"`
 	// TracerFor, when non-nil, supplies a per-machine tracer (nil return
-	// = untraced machine). Observation-only; excluded from result-cache
-	// fingerprints.
+	// = untraced machine). Observation-only.
 	TracerFor func(machine int) sched.Tracer `json:"-"`
 	// SamplerFor, when non-nil, supplies a per-machine metrics sampler.
 	SamplerFor func(machine int) sched.Sampler `json:"-"`
 }
 
 // WithDefaults returns the configuration with every zero field resolved
-// to its default, exactly as Run resolves them — so report headers and
-// cache fingerprints can name the effective configuration.
+// to its default, exactly as Run resolves them — so report headers can
+// name the effective configuration.
 func (cfg FleetConfig) WithDefaults() FleetConfig {
 	cfg.defaults()
 	return cfg

@@ -8,13 +8,11 @@
 // submission order, so parallel output is byte-identical to serial output.
 //
 // Failure isolation is part of the contract: a run that panics produces a
-// failed Result (never a dead process), a run that overruns its wall-clock
-// timeout is abandoned and reported as timed out, and cancelling the
-// submission context fails queued runs without starting them.
+// failed Result (never a dead process), and cancelling the submission
+// context fails queued runs without starting them.
 //
-// The companion Cache (cache.go) memoizes run results on disk so unchanged
-// experiments are never recomputed, and the Reporter (report.go) prints
-// fleet progress heartbeats to stderr.
+// The companion Reporter (report.go) prints fleet progress heartbeats to
+// stderr.
 package runner
 
 import (
@@ -26,10 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// ErrTimeout is wrapped into a Result's Err when the job exceeded its
-// wall-clock budget.
-var ErrTimeout = errors.New("job timed out")
 
 // PanicError is the Err of a Result whose job panicked. The panic is
 // confined to the job: the worker, the pool, and every other job proceed.
@@ -55,11 +49,6 @@ func IsPanic(err error) bool {
 type Job struct {
 	// Label names the job in heartbeats and failure reports.
 	Label string
-	// Timeout bounds the job's host wall-clock time (0 = unbounded). The
-	// job's context is cancelled at the deadline and the job is reported
-	// failed with ErrTimeout; a body that ignores its context keeps its
-	// goroutine until it returns, but no longer holds up the pool.
-	Timeout time.Duration
 	// Fn computes the job's value. It runs on an arbitrary pool thread
 	// and must not share mutable state with other jobs.
 	Fn func(ctx context.Context) (any, error)
@@ -74,8 +63,8 @@ type Result struct {
 	Label string
 	// Value is Fn's return value (nil on failure).
 	Value any
-	// Err is nil on success; otherwise Fn's error, a *PanicError, an
-	// ErrTimeout wrap, or the cancelled submission context's error.
+	// Err is nil on success; otherwise Fn's error, a *PanicError, or the
+	// cancelled submission context's error.
 	Err error
 	// Elapsed is the job's host wall-clock time.
 	Elapsed time.Duration
@@ -165,7 +154,7 @@ func (p *Pool) Workers() int { return p.nworkers }
 // ReportSim adds ns simulated nanoseconds to the pool's cumulative
 // throughput counter; the Reporter heartbeat divides it by pool uptime.
 // Job bodies call it with their run's simulated span once the run
-// completes (cache hits do not report: no simulation happened).
+// completes.
 func (p *Pool) ReportSim(ns int64) {
 	if ns > 0 {
 		p.simNS.Add(ns)
@@ -336,41 +325,22 @@ func (p *Pool) runClaimed(t *task) {
 	t.batch.finish(t.index, r)
 }
 
-// exec runs the job body with cancellation, timeout, and panic capture.
-// The body runs in its own goroutine so that a job overrunning its budget
-// can be abandoned without stalling the worker.
-func (p *Pool) exec(t *task) Result {
+// exec runs the job body on the calling goroutine, capturing a panic as
+// the job's failed Result.
+func (p *Pool) exec(t *task) (r Result) {
 	ctx := t.batch.ctx
 	if err := ctx.Err(); err != nil {
 		return Result{Err: err}
 	}
-	if t.job.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t.job.Timeout)
-		defer cancel()
-	}
-	ch := make(chan Result, 1)
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				buf := make([]byte, 16<<10)
-				buf = buf[:runtime.Stack(buf, false)]
-				ch <- Result{Err: &PanicError{Value: v, Stack: buf}}
-			}
-		}()
-		v, err := t.job.Fn(ctx)
-		ch <- Result{Value: v, Err: err}
-	}()
-	select {
-	case r := <-ch:
-		return r
-	case <-ctx.Done():
-		err := ctx.Err()
-		if errors.Is(err, context.DeadlineExceeded) {
-			err = fmt.Errorf("%w after %v", ErrTimeout, t.job.Timeout)
+	defer func() {
+		if v := recover(); v != nil {
+			buf := make([]byte, 16<<10)
+			buf = buf[:runtime.Stack(buf, false)]
+			r = Result{Err: &PanicError{Value: v, Stack: buf}}
 		}
-		return Result{Err: err}
-	}
+	}()
+	v, err := t.job.Fn(ctx)
+	return Result{Value: v, Err: err}
 }
 
 // Stats is a point-in-time snapshot of pool activity for heartbeats.

@@ -38,61 +38,37 @@ func TestMapMergesInSubmissionOrder(t *testing.T) {
 }
 
 func TestPanicIsIsolatedToItsJob(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	jobs := []Job{
-		{Label: "ok1", Fn: func(context.Context) (any, error) { return 1, nil }},
-		{Label: "boom", Fn: func(context.Context) (any, error) { panic("kaboom") }},
-		{Label: "ok2", Fn: func(context.Context) (any, error) { return 2, nil }},
-	}
-	rs := p.Map(context.Background(), jobs)
-	if rs[0].Err != nil || rs[2].Err != nil {
-		t.Fatalf("healthy jobs failed: %v / %v", rs[0].Err, rs[2].Err)
-	}
-	if rs[1].Err == nil || !IsPanic(rs[1].Err) {
-		t.Fatalf("panicking job Err = %v, want a *PanicError", rs[1].Err)
-	}
-	var pe *PanicError
-	if !errors.As(rs[1].Err, &pe) || pe.Value != "kaboom" || len(pe.Stack) == 0 {
-		t.Fatalf("panic not captured: %+v", pe)
-	}
-	if !strings.Contains(rs[1].Err.Error(), "kaboom") {
-		t.Fatalf("panic error message %q", rs[1].Err.Error())
-	}
-	// The pool must remain usable after a panic.
-	again := p.Map(context.Background(), []Job{
-		{Label: "after", Fn: func(context.Context) (any, error) { return "alive", nil }},
-	})
-	if again[0].Err != nil || again[0].Value != "alive" {
-		t.Fatalf("pool dead after panic: %+v", again[0])
-	}
-}
-
-func TestTimeoutAbandonsOverrunningJob(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	release := make(chan struct{})
-	defer close(release)
-	rs := p.Map(context.Background(), []Job{
-		{Label: "slow", Timeout: 20 * time.Millisecond,
-			Fn: func(ctx context.Context) (any, error) {
-				select {
-				case <-release: // never in this test
-				case <-ctx.Done():
-				}
-				<-release
-				return "too late", nil
-			}},
-		{Label: "fast", Fn: func(context.Context) (any, error) { return "ok", nil }},
-	})
-	if !errors.Is(rs[0].Err, ErrTimeout) {
-		t.Fatalf("slow job Err = %v, want ErrTimeout", rs[0].Err)
-	}
-	if rs[0].Value != nil {
-		t.Fatalf("timed-out job leaked a value: %v", rs[0].Value)
-	}
-	if rs[1].Err != nil || rs[1].Value != "ok" {
-		t.Fatalf("sibling job affected by timeout: %+v", rs[1])
+	// Width 1 has no workers: every job, the panicking one included, runs
+	// on Map's calling goroutine, which must survive the panic too.
+	for _, workers := range []int{1, 4} {
+		p := New(workers)
+		jobs := []Job{
+			{Label: "ok1", Fn: func(context.Context) (any, error) { return 1, nil }},
+			{Label: "boom", Fn: func(context.Context) (any, error) { panic("kaboom") }},
+			{Label: "ok2", Fn: func(context.Context) (any, error) { return 2, nil }},
+		}
+		rs := p.Map(context.Background(), jobs)
+		if rs[0].Err != nil || rs[2].Err != nil {
+			t.Fatalf("workers=%d: healthy jobs failed: %v / %v", workers, rs[0].Err, rs[2].Err)
+		}
+		if rs[1].Err == nil || !IsPanic(rs[1].Err) {
+			t.Fatalf("workers=%d: panicking job Err = %v, want a *PanicError", workers, rs[1].Err)
+		}
+		var pe *PanicError
+		if !errors.As(rs[1].Err, &pe) || pe.Value != "kaboom" || len(pe.Stack) == 0 {
+			t.Fatalf("workers=%d: panic not captured: %+v", workers, pe)
+		}
+		if !strings.Contains(rs[1].Err.Error(), "kaboom") {
+			t.Fatalf("workers=%d: panic error message %q", workers, rs[1].Err.Error())
+		}
+		// The pool must remain usable after a panic.
+		again := p.Map(context.Background(), []Job{
+			{Label: "after", Fn: func(context.Context) (any, error) { return "alive", nil }},
+		})
+		if again[0].Err != nil || again[0].Value != "alive" {
+			t.Fatalf("workers=%d: pool dead after panic: %+v", workers, again[0])
+		}
+		p.Close()
 	}
 }
 

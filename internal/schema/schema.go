@@ -1,7 +1,6 @@
 // Package schema is the registry of artifact schema tags — the "name/vN"
 // version strings stamped into every JSON artifact the repo writes
-// (metrics exports, fleet summaries, the hpdc21 result cache, diff
-// reports).
+// (metrics exports, fleet summaries, diff reports).
 //
 // The schemalit analyzer forbids spelling these tags inline anywhere
 // else in the module: a tag that exists in exactly one place cannot
@@ -16,8 +15,6 @@ const (
 	MetricsV1 = "oversub-metrics/v1"
 	// FleetV1 tags internal/cluster fleet-simulation reports.
 	FleetV1 = "oversub-fleet/v1"
-	// HPDC21CacheV4 tags the cmd/hpdc21 experiment result cache.
-	HPDC21CacheV4 = "hpdc21/v4"
 	// DiffV1 tags internal/diff cross-run differential reports.
 	DiffV1 = "oversub-diff/v1"
 )

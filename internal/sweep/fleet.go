@@ -44,12 +44,10 @@ type FleetSweep struct {
 	SLO sim.Duration
 }
 
-// RunFleet executes the sweep serially.
-func RunFleet(cfg FleetSweep) (*cluster.Report, error) { return RunFleetOn(nil, cfg) }
-
-// RunFleetOn executes the sweep with cells fanned out on pool p (nil =
-// serial). Each cell builds its own engine and fleet; results merge back
-// in grid order, so the report is identical to a serial sweep's.
+// RunFleetOn executes the sweep with cells fanned out on pool p
+// (runner.New(1) runs them serially). Each cell builds its own engine and
+// fleet; results merge back in grid order, so the report is identical for
+// every pool width. The first failed cell, in grid order, fails the sweep.
 func RunFleetOn(p *runner.Pool, cfg FleetSweep) (*cluster.Report, error) {
 	if len(cfg.Machines) == 0 {
 		cfg.Machines = []int{1, 2, 4}
@@ -73,41 +71,29 @@ func RunFleetOn(p *runner.Pool, cfg FleetSweep) (*cluster.Report, error) {
 			}
 		}
 	}
-	run := func(pt point) (*cluster.FleetResult, error) {
-		c := cfg.Base
-		c.Machines = pt.m
-		c.Policy = pt.policy
-		c.Machine.Feat = pt.v.Feat
-		c.Machine.Detect = pt.v.Detect
-		if pt.v.Policy != "" {
-			c.Machine.SchedPolicy = pt.v.Policy
+	jobs := make([]runner.Job, len(pts))
+	for i, pt := range pts {
+		jobs[i] = runner.Job{
+			Label: fmt.Sprintf("fleet/%s/%s/%dm", pt.policy, pt.v.Label, pt.m),
+			Fn: func(context.Context) (any, error) {
+				c := cfg.Base
+				c.Machines = pt.m
+				c.Policy = pt.policy
+				c.Machine.Feat = pt.v.Feat
+				c.Machine.Detect = pt.v.Detect
+				if pt.v.Policy != "" {
+					c.Machine.SchedPolicy = pt.v.Policy
+				}
+				return cluster.Run(c)
+			},
 		}
-		return cluster.Run(c)
 	}
 	results := make([]*cluster.FleetResult, len(pts))
-	if p == nil {
-		for i, pt := range pts {
-			r, err := run(pt)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
+	for i, r := range p.Map(context.Background(), jobs) {
+		if r.Err != nil {
+			return nil, fmt.Errorf("fleet cell %s: %w", jobs[i].Label, r.Err)
 		}
-	} else {
-		jobs := make([]runner.Job, len(pts))
-		for i, pt := range pts {
-			pt := pt
-			jobs[i] = runner.Job{
-				Label: fmt.Sprintf("fleet/%s/%s/%dm", pt.policy, pt.v.Label, pt.m),
-				Fn:    func(context.Context) (any, error) { return run(pt) },
-			}
-		}
-		for i, r := range p.Map(context.Background(), jobs) {
-			if r.Err != nil {
-				return nil, fmt.Errorf("fleet cell %s: %w", jobs[i].Label, r.Err)
-			}
-			results[i] = r.Value.(*cluster.FleetResult)
-		}
+		results[i] = r.Value.(*cluster.FleetResult)
 	}
 
 	base := cfg.Base.WithDefaults()

@@ -25,9 +25,9 @@ func fleetSweepCfg() FleetSweep {
 
 // TestRunFleetParallelMatchesSerial is the fleet determinism gate at the
 // sweep layer: a work-stealing pool must produce a byte-identical report
-// to a serial sweep.
+// to a serial (1-wide) sweep.
 func TestRunFleetParallelMatchesSerial(t *testing.T) {
-	serial, err := RunFleet(fleetSweepCfg())
+	serial, err := RunFleetOn(serialPool(t), fleetSweepCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRunFleetParallelMatchesSerial(t *testing.T) {
 // TestRunFleetReport checks grid shape, defaults resolution in the
 // header, and that the report validates.
 func TestRunFleetReport(t *testing.T) {
-	rep, err := RunFleet(fleetSweepCfg())
+	rep, err := RunFleetOn(serialPool(t), fleetSweepCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

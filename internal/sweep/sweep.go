@@ -71,16 +71,12 @@ type Grid struct {
 	Cells []Cell
 }
 
-// Run executes the sweep serially. Every (threads, cores, variant)
-// combination runs once, deterministically.
-func Run(cfg Config) *Grid { return RunOn(nil, cfg) }
-
 // RunOn executes the sweep with its grid cells fanned out as independent
-// jobs on pool p (nil means serial). Each cell constructs its own engine
-// and kernel, and results are merged back in grid order, so the returned
-// Grid is identical to a serial sweep's regardless of the pool width. A
-// cell whose run panics or is cancelled becomes a failed cell (non-nil
-// Result.Err) instead of killing the sweep.
+// jobs on pool p (runner.New(1) runs them serially). Each cell constructs
+// its own engine and kernel, and results are merged back in grid order, so
+// the returned Grid is identical for every pool width. A cell whose run
+// panics or is cancelled becomes a failed cell (non-nil Result.Err)
+// instead of killing the sweep.
 func RunOn(p *runner.Pool, cfg Config) *Grid {
 	type point struct {
 		th, co int
@@ -94,36 +90,28 @@ func RunOn(p *runner.Pool, cfg Config) *Grid {
 			}
 		}
 	}
-	run := func(pt point) workload.Result {
-		return workload.Run(cfg.Spec, workload.RunConfig{
-			Threads: pt.th, Cores: pt.co,
-			Feat: pt.v.Feat, Detect: pt.v.Detect, Policy: pt.v.Policy,
-			Seed: cfg.Seed, WorkScale: cfg.Scale,
-			Horizon: cfg.Horizon,
-		})
+	jobs := make([]runner.Job, len(pts))
+	for i, pt := range pts {
+		jobs[i] = runner.Job{
+			Label: fmt.Sprintf("%s/%dT/%dc/%s", cfg.Spec.Name, pt.th, pt.co, pt.v.Label),
+			Fn: func(context.Context) (any, error) {
+				return workload.Run(cfg.Spec, workload.RunConfig{
+					Threads: pt.th, Cores: pt.co,
+					Feat: pt.v.Feat, Detect: pt.v.Detect, Policy: pt.v.Policy,
+					Seed: cfg.Seed, WorkScale: cfg.Scale,
+					Horizon: cfg.Horizon,
+				}), nil
+			},
+		}
 	}
 	results := make([]workload.Result, len(pts))
-	if p == nil {
-		for i, pt := range pts {
-			results[i] = run(pt)
-		}
-	} else {
-		jobs := make([]runner.Job, len(pts))
-		for i, pt := range pts {
-			pt := pt
-			jobs[i] = runner.Job{
-				Label: fmt.Sprintf("%s/%dT/%dc/%s", cfg.Spec.Name, pt.th, pt.co, pt.v.Label),
-				Fn:    func(context.Context) (any, error) { return run(pt), nil },
+	for i, r := range p.Map(context.Background(), jobs) {
+		if r.Err != nil {
+			results[i] = workload.Result{
+				Spec: cfg.Spec.Name, Threads: pts[i].th, Cores: pts[i].co, Err: r.Err,
 			}
-		}
-		for i, r := range p.Map(context.Background(), jobs) {
-			if r.Err != nil {
-				results[i] = workload.Result{
-					Spec: cfg.Spec.Name, Threads: pts[i].th, Cores: pts[i].co, Err: r.Err,
-				}
-			} else {
-				results[i] = r.Value.(workload.Result)
-			}
+		} else {
+			results[i] = r.Value.(workload.Result)
 		}
 	}
 	g := &Grid{Spec: cfg.Spec.Name}

@@ -10,7 +10,7 @@ import (
 
 func smallGrid(t *testing.T) *Grid {
 	t.Helper()
-	return Run(Config{
+	return RunOn(serialPool(t), Config{
 		Spec:     workload.Find("streamcluster"),
 		Threads:  []int{8, 32},
 		Cores:    []int{8},
@@ -60,10 +60,18 @@ func TestSweepBest(t *testing.T) {
 	}
 }
 
+// serialPool returns a 1-wide pool, the strictly serial baseline: it
+// starts no workers and runs every job on the waiting goroutine.
+func serialPool(t *testing.T) *runner.Pool {
+	p := runner.New(1)
+	t.Cleanup(p.Close)
+	return p
+}
+
 // TestSweepParallelIsByteIdenticalToSerial is the determinism contract of
-// the runner's merge step: a representative sweep rendered after -jobs 1
-// and -jobs 8 style execution must produce byte-identical tables, and both
-// must match the plain serial path.
+// the runner's merge step: a representative sweep rendered after -jobs 8
+// style execution must produce a byte-identical table to the serial
+// -jobs 1 path.
 func TestSweepParallelIsByteIdenticalToSerial(t *testing.T) {
 	cfg := Config{
 		Spec:     workload.Find("streamcluster"),
@@ -80,15 +88,11 @@ func TestSweepParallelIsByteIdenticalToSerial(t *testing.T) {
 		}
 		return sb.String()
 	}
-	serial := render(Run(cfg))
-	for _, jobs := range []int{1, 8} {
-		p := runner.New(jobs)
-		got := render(RunOn(p, cfg))
-		p.Close()
-		if got != serial {
-			t.Fatalf("-jobs %d table differs from serial:\n--- serial ---\n%s--- jobs=%d ---\n%s",
-				jobs, serial, jobs, got)
-		}
+	serial := render(RunOn(serialPool(t), cfg))
+	p := runner.New(8)
+	defer p.Close()
+	if got := render(RunOn(p, cfg)); got != serial {
+		t.Fatalf("-jobs 8 table differs from serial:\n--- serial ---\n%s--- jobs=8 ---\n%s", serial, got)
 	}
 }
 

@@ -68,16 +68,14 @@ type RunConfig struct {
 	// Plan schedules cpuset resizes during the run.
 	Plan []CPUChange
 	// Tracer, when non-nil, receives every scheduling event of the run.
-	// It is excluded from result-cache fingerprints (json:"-"): tracing
-	// observes a run without changing it.
+	// Tracing observes a run without changing it.
 	Tracer sched.Tracer `json:"-"`
 	// Sampler, when non-nil, is registered with the kernel and snapshots
 	// scheduler state at its sim-time interval (internal/metrics). Like
-	// Tracer it is observation-only and excluded from cache fingerprints.
+	// Tracer it is observation-only.
 	Sampler sched.Sampler `json:"-"`
 	// Policy selects the kernel scheduling policy (sched.PolicyNames);
-	// "" is cfs. It participates in cache fingerprints: the policy changes
-	// every scheduling decision of the run.
+	// "" is cfs. The policy changes every scheduling decision of the run.
 	Policy string
 	// LockImpl substitutes the user-level lock implementation, as the
 	// SHFLLOCK evaluation does via library interposition (Figure 15):

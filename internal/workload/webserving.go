@@ -30,7 +30,7 @@ type WebConfig struct {
 	Policy string
 	Seed   uint64
 	// Sampler, when non-nil, snapshots scheduler state at its sim-time
-	// interval. Observation-only; excluded from cache fingerprints.
+	// interval. Observation-only.
 	Sampler sched.Sampler `json:"-"`
 }
 
