@@ -2,8 +2,9 @@
 # ci.sh — the repo's gate: formatting, vet, simlint, build, tests, the race
 # detector (the runner fans simulation runs across OS threads, so every
 # test also runs under -race), and a determinism smoke test proving that a
-# parallel experiment fleet is byte-identical to a serial one. The benchmark
-# module's own tests pin its workload cells' golden digests.
+# parallel experiment fleet is byte-identical to a serial one, and a
+# results oracle: every committed results/*.txt regenerates byte for byte.
+# The benchmark module's own tests pin its workload cells' golden digests.
 set -eu
 
 cd "$(dirname "$0")"
@@ -55,6 +56,25 @@ if ! cmp -s "$detdir/serial.txt" "$detdir/parallel.txt"; then
     exit 1
 fi
 echo "parallel output byte-identical to serial."
+
+echo "== results oracle: committed results regenerate byte for byte =="
+# Every full-scale experiment must reproduce its committed results/*.txt
+# exactly: the model's outputs are part of the tree, so a change that
+# moves a figure must regenerate and commit it.
+if ! "$detdir/hpdc21" -jobs 8 -out "$detdir/results" all >/dev/null 2>"$detdir/results.err"; then
+    echo "results oracle FAILED: an experiment failed" >&2
+    cat "$detdir/results.err" >&2
+    exit 1
+fi
+for f in results/*.txt "$detdir"/results/*.txt; do
+    name=$(basename "$f")
+    if ! cmp -s "results/$name" "$detdir/results/$name"; then
+        echo "results oracle FAILED: $name differs from (or is missing in) results/" >&2
+        diff "results/$name" "$detdir/results/$name" >&2 || true
+        exit 1
+    fi
+done
+echo "all results/*.txt regenerate byte-identical."
 
 echo "== trace smoke: oracle + summary determinism =="
 # A quick traced workload runs through the trace-invariant oracle (hpdc21

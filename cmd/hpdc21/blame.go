@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"oversub"
 	"oversub/internal/cluster"
@@ -12,62 +11,31 @@ import (
 	"oversub/internal/trace"
 )
 
-// runBlameCheck implements the -blame flag: it traces every machine of a
-// small 1-machine fleet under the standard tenant mix, validates each
-// stream against the full oracle (lifecycle plus the blame exactness
-// invariant — components must sum to every span), and writes the fleet
-// blame report to path. Identical seeds produce byte-identical files,
-// which is what ci.sh's blame smoke gate compares.
-func runBlameCheck(o options, path string) error {
-	cfg := cluster.FleetConfig{
-		Machines: 1,
-		QPS:      20000,
-		Duration: 100 * sim.Millisecond,
-		Seed:     o.seed,
+// completeStream returns ring's events if it recorded the complete stream
+// and that stream passes the trace-invariant oracle.
+func completeStream(ring *oversub.TraceRing) ([]trace.Event, error) {
+	if ring.Dropped() > 0 {
+		return nil, fmt.Errorf("trace ring wrapped (%d events dropped)", ring.Dropped())
 	}
-	cfg.Machine.SchedPolicy = o.policy
-	rings := cluster.AttachTracers(&cfg, completeStreamCap)
-	if _, err := cluster.Run(cfg); err != nil {
-		return fmt.Errorf("hpdc21: blame run: %w", err)
+	events := ring.Events()
+	if vs := trace.CheckStream(events); len(vs) > 0 {
+		return nil, fmt.Errorf("%d trace-invariant violations (first: %s)", len(vs), vs[0])
 	}
-	ms := trace.CollectMachines(rings)
-	events := 0
-	for _, m := range ms {
-		if m.Dropped > 0 {
-			return fmt.Errorf("hpdc21: machine %d trace ring wrapped (%d events dropped); cannot attribute", m.Machine, m.Dropped)
-		}
-		vs := trace.CheckStream(m.Events)
-		if len(vs) > 0 {
-			for i, v := range vs {
-				if i >= 20 {
-					fmt.Fprintf(os.Stderr, "hpdc21: ... and %d more violations\n", len(vs)-i)
-					break
-				}
-				fmt.Fprintf(os.Stderr, "hpdc21: machine %d trace invariant violated: %s\n", m.Machine, v)
-			}
-			return fmt.Errorf("hpdc21: %d trace-invariant violations", len(vs))
-		}
-		events += len(m.Events)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("hpdc21: %w", err)
-	}
-	if err := trace.WriteFleetBlame(f, ms, cfg.TenantNames()); err != nil {
-		f.Close()
-		return fmt.Errorf("hpdc21: write blame report: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("hpdc21: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "hpdc21: blame oracle passed (%d events) -> %s\n", events, path)
-	return nil
+	return events, nil
+}
+
+// blameCell is one blame_policies row: completed requests, their summed
+// blame components, and their latency distribution.
+type blameCell struct {
+	comp trace.Breakdown
+	lat  stats.Digest
+	n    int
 }
 
 // blamePolicies is the observability experiment: request-latency blame
 // across the scheduling-policy zoo x kernel-variant grid, each cell a
-// 1-machine fleet under the standard tenant mix at fixed load, run
-// serially in-process. The table shows WHERE each configuration's latency
+// 1-machine fleet under the standard tenant mix at fixed load, fanned out
+// on the shared pool. The table shows WHERE each configuration's latency
 // goes: vanilla kernels burn it spinning (analytics' TTAS shards) and
 // futex-sleeping (cache/web shards); VB moves lock waits into vbskip, and
 // BWD deschedules the spinners.
@@ -94,45 +62,49 @@ func blamePolicies(e *env) {
 	}
 	fmt.Fprintf(e.out, " %10s %10s\n", "p50", "p99")
 
+	run := func(pol string, v sweep.Variant) (blameCell, error) {
+		cfg := cluster.FleetConfig{Machines: 1, QPS: qps, Duration: dur, Seed: e.o.seed}
+		cfg.Machine.SchedPolicy = pol
+		cfg.Machine.Feat = v.Feat
+		cfg.Machine.Detect = v.Detect
+		rings := cluster.AttachTracers(&cfg, completeStreamCap)
+		if _, err := cluster.Run(cfg); err != nil {
+			return blameCell{}, err
+		}
+		events, err := completeStream(rings[0])
+		if err != nil {
+			return blameCell{}, err
+		}
+		var c blameCell
+		b := trace.ComputeBlame(events)
+		for i := range b.Requests {
+			c.comp.Add(&b.Requests[i].Comp)
+			c.lat.Add(b.Requests[i].Latency())
+		}
+		c.n = len(b.Requests)
+		return c, nil
+	}
+
+	// Fan the grid out on the shared pool and render in grid order, so the
+	// table is byte-identical regardless of -jobs.
+	var futs []future[blameCell]
 	for _, pol := range policies {
 		for _, v := range variants {
-			cfg := cluster.FleetConfig{Machines: 1, QPS: qps, Duration: dur, Seed: e.o.seed}
-			cfg.Machine.SchedPolicy = pol
-			cfg.Machine.Feat = v.Feat
-			cfg.Machine.Detect = v.Detect
-			rings := cluster.AttachTracers(&cfg, completeStreamCap)
-			if _, err := cluster.Run(cfg); err != nil {
-				fmt.Fprintf(os.Stderr, "hpdc21: blame_policies %s/%s: %v\n", pol, v.Label, err)
-				continue
-			}
-			m := trace.CollectMachines(rings)[0]
-			if m.Dropped > 0 {
-				fmt.Fprintf(os.Stderr, "hpdc21: blame_policies %s/%s: ring wrapped (%d dropped)\n", pol, v.Label, m.Dropped)
-				continue
-			}
-			if vs := trace.CheckStream(m.Events); len(vs) > 0 {
-				fmt.Fprintf(os.Stderr, "hpdc21: blame_policies %s/%s: %d trace-invariant violations (first: %s)\n",
-					pol, v.Label, len(vs), vs[0])
-				continue
-			}
-			b := trace.ComputeBlame(m.Events)
-			var comp trace.Breakdown
-			var lat stats.Digest
-			for i := range b.Requests {
-				comp.Add(&b.Requests[i].Comp)
-				lat.Add(b.Requests[i].Latency())
-			}
-			n := len(b.Requests)
-			fmt.Fprintf(e.out, "  %-9s %-8s %9d", pol, v.Label, n)
-			for _, c := range comps {
-				mean := 0.0
-				if n > 0 {
-					mean = comp[c].Micros() / float64(n)
-				}
-				fmt.Fprintf(e.out, " %9.2f", mean)
-			}
-			fmt.Fprintf(e.out, " %10v %10v\n", lat.Percentile(50), lat.Percentile(99))
+			futs = append(futs, submit(e, fmt.Sprintf("blame_policies/%s/%s", pol, v.Label),
+				func() (blameCell, error) { return run(pol, v) }))
 		}
+	}
+	for i, f := range futs {
+		c := f.wait()
+		fmt.Fprintf(e.out, "  %-9s %-8s %9d", policies[i/len(variants)], variants[i%len(variants)].Label, c.n)
+		for _, comp := range comps {
+			mean := 0.0
+			if c.n > 0 {
+				mean = c.comp[comp].Micros() / float64(c.n)
+			}
+			fmt.Fprintf(e.out, " %9.2f", mean)
+		}
+		fmt.Fprintf(e.out, " %10v %10v\n", c.lat.Percentile(50), c.lat.Percentile(99))
 	}
 	fmt.Fprintf(e.out, "\nReading the table: each cell is mean microseconds per completed request.\n")
 	fmt.Fprintf(e.out, "Vanilla cells lose request time queueing behind spinners (analytics' TTAS\n")

@@ -21,10 +21,10 @@ type env struct {
 // future is a typed handle on a pooled computation.
 type future[T any] struct{ f *runner.Future }
 
-// wait returns the computation's value. A run that failed (panicked)
-// fails the experiment waiting on it: the panic is re-raised, the
-// experiment's own job captures it, and runExperiments reports it on
-// stderr and exits 1 instead of rendering a zero-valued row.
+// wait returns the computation's value. A run that failed (returned an
+// error or panicked) fails the experiment waiting on it: the failure is
+// re-raised, the experiment's own job captures it, and runExperiments
+// reports it on stderr and exits 1 instead of rendering a zero-valued row.
 func (f future[T]) wait() T {
 	r := f.f.Wait()
 	if r.Err != nil {
@@ -34,11 +34,12 @@ func (f future[T]) wait() T {
 }
 
 // submit schedules fn on the shared pool. The job starts immediately if an
-// executor is free; otherwise the first wait() runs it inline.
-func submit[T any](e *env, label string, fn func() T) future[T] {
+// executor is free; otherwise the first wait() runs it inline. An error
+// from fn fails the run.
+func submit[T any](e *env, label string, fn func() (T, error)) future[T] {
 	return future[T]{e.pool.Submit(nil, runner.Job{
 		Label: label,
-		Fn:    func(context.Context) (any, error) { return fn(), nil },
+		Fn:    func(context.Context) (any, error) { return fn() },
 	})}
 }
 
@@ -48,10 +49,10 @@ func (e *env) bench(spec *oversub.BenchSpec, cfg oversub.BenchConfig) future[ove
 		cfg.Policy = e.o.policy
 	}
 	label := fmt.Sprintf("%s/%dT/%dc", spec.Name, cfg.Threads, cfg.Cores)
-	return submit(e, label, func() oversub.BenchResult {
+	return submit(e, label, func() (oversub.BenchResult, error) {
 		r := oversub.RunBenchmark(spec, cfg)
 		e.pool.ReportSim(int64(r.ExecTime))
-		return r
+		return r, nil
 	})
 }
 
@@ -70,49 +71,49 @@ func (e *env) memcached(cfg oversub.MemcachedConfig) future[oversub.MemcachedRes
 		cfg.Policy = e.o.policy
 	}
 	label := fmt.Sprintf("memcached/%dw/%dc", cfg.Workers, cfg.Cores)
-	return submit(e, label, func() oversub.MemcachedResult {
+	return submit(e, label, func() (oversub.MemcachedResult, error) {
 		r := oversub.RunMemcached(cfg)
 		e.pool.ReportSim(int64(r.ExecTime))
-		return r
+		return r, nil
 	})
 }
 
 // direct schedules one Figure 2 direct-cost micro-benchmark run.
 func (e *env) direct(threads int, atomicShared bool) future[workload.DirectCostResult] {
 	label := fmt.Sprintf("direct/%dT", threads)
-	return submit(e, label, func() workload.DirectCostResult {
-		return oversub.DirectCost(threads, atomicShared, e.o.seed)
+	return submit(e, label, func() (workload.DirectCostResult, error) {
+		return oversub.DirectCost(threads, atomicShared, e.o.seed), nil
 	})
 }
 
 // indirect schedules one Figure 4 indirect-cost micro-benchmark run.
 func (e *env) indirect(p oversub.Pattern, totalBytes int64) future[workload.IndirectCostResult] {
 	label := fmt.Sprintf("indirect/%s", humanBytes(totalBytes))
-	return submit(e, label, func() workload.IndirectCostResult {
-		return oversub.IndirectCost(p, totalBytes, e.o.seed)
+	return submit(e, label, func() (workload.IndirectCostResult, error) {
+		return oversub.IndirectCost(p, totalBytes, e.o.seed), nil
 	})
 }
 
 // prim schedules one Figure 10 primitive-stress run.
 func (e *env) prim(p workload.Primitive, threads, cores int, vb bool) future[oversub.Duration] {
 	label := fmt.Sprintf("prim/%s/%dT/%dc", p, threads, cores)
-	return submit(e, label, func() oversub.Duration {
-		return oversub.PrimitiveStress(p, threads, cores, vb, e.o.seed)
+	return submit(e, label, func() (oversub.Duration, error) {
+		return oversub.PrimitiveStress(p, threads, cores, vb, e.o.seed), nil
 	})
 }
 
 // spin schedules one Figure 13 spin-pipeline run.
 func (e *env) spin(kind oversub.SpinLockKind, threads, cores int, detect oversub.DetectMode, vm bool) future[workload.SpinPipelineResult] {
 	label := fmt.Sprintf("spin/%v/%dT", kind, threads)
-	return submit(e, label, func() workload.SpinPipelineResult {
-		return oversub.SpinPipeline(kind, threads, cores, detect, vm, e.o.seed)
+	return submit(e, label, func() (workload.SpinPipelineResult, error) {
+		return oversub.SpinPipeline(kind, threads, cores, detect, vm, e.o.seed), nil
 	})
 }
 
 // sens schedules one Table 2 sensitivity run.
 func (e *env) sens(kind oversub.SpinLockKind, tries int) future[workload.SensitivityResult] {
 	label := fmt.Sprintf("sens/%v", kind)
-	return submit(e, label, func() workload.SensitivityResult {
-		return oversub.Sensitivity(kind, tries, e.o.seed)
+	return submit(e, label, func() (workload.SensitivityResult, error) {
+		return oversub.Sensitivity(kind, tries, e.o.seed), nil
 	})
 }

@@ -13,7 +13,7 @@ import (
 func TestFailedRunFailsItsExperiment(t *testing.T) {
 	pool := runner.New(1)
 	defer pool.Close()
-	f := submit(&env{pool: pool}, "cell/boom", func() int { panic("kaboom") })
+	f := submit(&env{pool: pool}, "cell/boom", func() (int, error) { panic("kaboom") })
 	defer func() {
 		err, _ := recover().(error)
 		if err == nil || !strings.Contains(err.Error(), "cell/boom") || !runner.IsPanic(err) {
@@ -21,4 +21,22 @@ func TestFailedRunFailsItsExperiment(t *testing.T) {
 		}
 	}()
 	f.wait()
+}
+
+// TestFailedCellFailsItsExperiment pins that a cell whose trace ring
+// wraps fails policies and blame_policies outright (exit 1, no table)
+// instead of rendering a "failed" row or silently dropping the row.
+func TestFailedCellFailsItsExperiment(t *testing.T) {
+	defer func(n int) { completeStreamCap = n }(completeStreamCap)
+	completeStreamCap = 64
+	pool := runner.New(2)
+	defer pool.Close()
+	for _, ex := range experiments {
+		if ex.name != "policies" && ex.name != "blame_policies" {
+			continue
+		}
+		if code := runExperiments([]experiment{ex}, options{quick: true}, pool); code != 1 {
+			t.Errorf("%s with wrapping rings exited %d, want 1", ex.name, code)
+		}
+	}
 }

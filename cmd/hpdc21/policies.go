@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"oversub"
 	"oversub/internal/trace"
@@ -17,7 +16,6 @@ type policyCell struct {
 	wakeP99 oversub.Duration
 	vwakeN  int
 	vwakeP9 oversub.Duration
-	err     error
 }
 
 // policies runs the policy-zoo comparison: every registered scheduling
@@ -44,21 +42,18 @@ func policies(e *env) {
 	}
 	pols := oversub.PolicyNames()
 
-	run := func(pol string, feat oversub.Features) policyCell {
+	run := func(pol string, feat oversub.Features) (policyCell, error) {
 		ring := oversub.NewTraceRing(completeStreamCap)
 		r := oversub.RunBenchmark(spec, oversub.BenchConfig{
 			Threads: 16, Cores: 4, Seed: e.o.seed, WorkScale: scale,
 			Feat: feat, Policy: pol, Tracer: ring,
 		})
 		if r.Err != nil {
-			return policyCell{err: r.Err}
+			return policyCell{}, r.Err
 		}
-		if ring.Dropped() > 0 {
-			return policyCell{err: fmt.Errorf("trace ring wrapped (%d events dropped)", ring.Dropped())}
-		}
-		events := ring.Events()
-		if vs := trace.CheckStream(events); len(vs) > 0 {
-			return policyCell{err: fmt.Errorf("%d trace-invariant violations (first: %s)", len(vs), vs[0])}
+		events, err := completeStream(ring)
+		if err != nil {
+			return policyCell{}, err
 		}
 		a := trace.Analyze(events)
 		e.pool.ReportSim(int64(r.ExecTime))
@@ -69,7 +64,7 @@ func policies(e *env) {
 			wakeP99: a.Latency.Wake.Percentile(99),
 			vwakeN:  a.Latency.VWake.Count(),
 			vwakeP9: a.Latency.VWake.Percentile(99),
-		}
+		}, nil
 	}
 
 	// Fan the grid out on the shared pool and collect in grid order, so the
@@ -87,7 +82,7 @@ func policies(e *env) {
 	futs := make([]future[policyCell], len(pts))
 	for i, pt := range pts {
 		label := fmt.Sprintf("policies/%s/%s", pt.pol, variants[pt.vi].label)
-		futs[i] = submit(e, label, func() policyCell { return run(pt.pol, variants[pt.vi].feat) })
+		futs[i] = submit(e, label, func() (policyCell, error) { return run(pt.pol, variants[pt.vi].feat) })
 	}
 
 	fmt.Fprintf(e.out, "streamcluster 16T/4c scale=%.2f seed=%d: wake-to-dispatch latency by policy\n\n", scale, e.o.seed)
@@ -95,11 +90,6 @@ func policies(e *env) {
 		"policy", "variant", "exec(ms)", "wakes", "p50(us)", "p99(us)", "vb p99(us)")
 	for i, pt := range pts {
 		c := futs[i].wait()
-		if c.err != nil {
-			fmt.Fprintf(os.Stderr, "hpdc21: run policies/%s/%s: %v\n", pt.pol, variants[pt.vi].label, c.err)
-			fmt.Fprintf(e.out, "%-10s %-8s %10s\n", pt.pol, variants[pt.vi].label, "failed")
-			continue
-		}
 		vb99 := "-"
 		if c.vwakeN > 0 {
 			vb99 = fmt.Sprintf("%.1f", c.vwakeP9.Micros())

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"oversub"
 	"oversub/internal/runner"
@@ -107,7 +108,9 @@ func runMain(argv []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if err := f.validate(); err != nil {
+	var explicit []string
+	fs.Visit(func(fl *flag.Flag) { explicit = append(explicit, fl.Name) })
+	if err := f.validate(explicit); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
@@ -153,13 +156,47 @@ func runMain(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// machineFlags configure the one simulated machine of a -bench run.
+var machineFlags = []string{"threads", "cores", "smt", "vb", "bwd", "ple", "vm", "pinned", "locks", "grow"}
+
 // validate rejects flag combinations that would silently record less
-// than the user asked for.
-func (f *runFlags) validate() error {
+// than the user asked for, and explicitly set flags (named in explicit,
+// in lexical order) that the selected mode would ignore.
+func (f *runFlags) validate(explicit []string) error {
 	if err := f.sharedFlags.validate(); err != nil {
 		return err
 	}
+	set := map[string]bool{}
+	for _, name := range explicit {
+		set[name] = true
+	}
+	var mode string
+	var ignored []string
 	switch {
+	case f.fleet.machines != "":
+		mode, ignored = "-fleet", append([]string{"sweep", "reps"}, machineFlags...)
+	case f.bench == "memcached":
+		mode, ignored = "-bench memcached", []string{"smt", "bwd", "ple", "vm", "pinned", "locks"}
+	case f.sweep:
+		mode, ignored = "-sweep", append([]string{"reps", "trace"}, machineFlags...)
+	}
+	for _, name := range ignored {
+		if set[name] {
+			return fmt.Errorf("%s ignores -%s", mode, name)
+		}
+	}
+	if f.fleet.machines == "" {
+		for _, name := range explicit {
+			if strings.HasPrefix(name, "fleet-") {
+				return fmt.Errorf("-%s needs -fleet", name)
+			}
+		}
+	}
+	switch {
+	case f.bwd && f.ple:
+		return errors.New("-bwd and -ple select different spin detectors; pick one")
+	case f.ple && !f.vm:
+		return errors.New("-ple needs -vm: pause-loop exiting only fires inside a virtual machine")
 	case f.reps < 1:
 		return errors.New("-reps must be >= 1")
 	case f.reps > 1 && (f.traceTo != "" || f.blameTo != ""):
@@ -184,7 +221,7 @@ func (f *runFlags) validate() error {
 	return nil
 }
 
-// detect resolves -bwd/-ple into the detector mode (-bwd wins).
+// detect resolves -bwd/-ple (never both) into the detector mode.
 func (f *runFlags) detect() oversub.DetectMode {
 	switch {
 	case f.bwd:
@@ -336,10 +373,10 @@ func runBench(pool *runner.Pool, spec *oversub.BenchSpec, f *runFlags, stdout, s
 }
 
 // completeStreamCap bounds every ring whose stream must not wrap: blame
-// attribution (run -blame, hpdc21 -blame, blame_policies) and the
-// policies oracle. Rings grow on demand, so the bound costs nothing until
-// a run reaches it.
-const completeStreamCap = 1 << 22
+// attribution (run -blame, blame_policies) and the policies oracle. Rings
+// grow on demand, so the bound costs nothing until a run reaches it. It
+// is a variable only so tests can force a wrap.
+var completeStreamCap = 1 << 22
 
 // traceCapacity sizes a run's trace ring. Blame attribution needs the
 // complete stream (a wrapped ring cannot be attributed), so -blame runs

@@ -37,6 +37,15 @@ func TestRunRejectsConflictingFlags(t *testing.T) {
 		{"fleet warmup past duration", []string{"-fleet", "1", "-fleet-warmup", "900"}},
 		{"unknown fleet policy", []string{"-fleet", "1", "-fleet-policies", "rr,nope"}},
 		{"unknown fleet arrival", []string{"-fleet", "1", "-fleet-arrival", "nope"}},
+		{"memcached with bwd", []string{"-bench", "memcached", "-bwd"}},
+		{"memcached with smt and pinned", []string{"-bench", "memcached", "-smt", "2", "-pinned"}},
+		{"ple without vm", []string{"-bench", "lu", "-ple"}},
+		{"bwd with ple", []string{"-bench", "lu", "-bwd", "-ple", "-vm"}},
+		{"sweep with reps", []string{"-bench", "lu", "-sweep", "-reps", "3"}},
+		{"sweep with trace", []string{"-bench", "lu", "-sweep", "-trace", art}},
+		{"fleet with machine flags", []string{"-fleet", "1", "-vb", "-bwd", "-cores", "16"}},
+		{"fleet with default-valued cores", []string{"-fleet", "1", "-cores", "8"}},
+		{"fleet flag without fleet", []string{"-bench", "lu", "-fleet-qps", "1000"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

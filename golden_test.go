@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"oversub/internal/cluster"
+	"oversub/internal/sched"
 	"oversub/internal/workload"
 )
 
@@ -115,7 +116,7 @@ func engineTrioSummaries() []string {
 func fleetGoldenSummary() string {
 	res, err := cluster.Run(cluster.FleetConfig{
 		Machines: 3,
-		Machine:  cluster.MachineConfig{Feat: Features{VB: true}, Detect: workload.DetectBWD},
+		Machine:  cluster.MachineConfig{Feat: Features{VB: true}, Detect: DetectBWD},
 		QPS:      30000,
 		Duration: 150 * Millisecond,
 		Seed:     7,
@@ -144,6 +145,86 @@ func TestGoldenEngineTrio(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("summary %d diverged from pre-refactor pin:\n got %q\nwant %q", i, got[i], want[i])
+		}
+	}
+}
+
+// machinePathSummaries runs every machine-construction entry point that
+// engineTrioSummaries does not reach — the System facade, the spin and
+// blocking micro-benchmarks, web serving, a resized SMT run with a sampler
+// attached, and a mixed-policy traced fleet — and renders each result
+// canonically. The strings in TestGoldenMachinePaths pin how each entry
+// point builds its machine: engine and kernel seeds, topology, and the
+// order in which tracers, samplers and detectors are armed.
+func machinePathSummaries() []string {
+	digest, gm := goldenScenario()
+	s1 := fmt.Sprintf("system digest=%s cs=%d/%d wake=%d vbwake=%d bwd=%d",
+		digest, gm.VolCS, gm.InvolCS, gm.Wakeups, gm.VBWakes, gm.BWDDeschedules)
+
+	ple := SpinPipeline(workload.LockPthreadSpin, 32, 8, DetectPLE, true, 11)
+	s2 := fmt.Sprintf("spin pthread ple vm exec=%d windows=%d det=%d tp=%d fp=%d",
+		ple.ExecTime, ple.BWD.Windows, ple.BWD.Detections, ple.BWD.TruePositive, ple.BWD.FalsePositive)
+
+	sens := Sensitivity(workload.LockTicket, 300, 7)
+	s3 := fmt.Sprintf("sensitivity ticket tries=%d tp=%d", sens.Tries, sens.TruePos)
+
+	ind := IndirectCost(RndRead, 4<<20, 7)
+	s4 := fmt.Sprintf("indirect rndread percs=%.3f sw=%d", ind.PerCS, ind.Switches)
+
+	s5 := fmt.Sprintf("prim cond vb exec=%d", PrimitiveStress(PrimCond, 32, 4, true, 7))
+
+	web := RunWebServing(WebConfig{Workers: 8, Cores: 4, VB: true, Requests: 1500, Seed: 7})
+	s6 := fmt.Sprintf("web served=%d mean=%d p95=%d p99=%d vbwake=%d epoll=%d/%d",
+		web.Served, web.Mean, web.P95, web.P99, web.Metrics.VBWakes,
+		web.Metrics.EpollWaits, web.Metrics.EpollPosts)
+
+	smp := NewMetricsSampler(MetricsConfig{})
+	grow := RunBenchmark(FindBenchmark("lu"), BenchConfig{Threads: 16, Cores: 2, SMT: 2,
+		Seed: 7, WorkScale: 0.05, Feat: Features{VB: true}, Detect: DetectBWD,
+		Plan: []CPUChange{{At: 2 * Millisecond, Cores: 4}}, Sampler: smp})
+	s7 := fmt.Sprintf("grow smt2 exec=%d events=%d cs=%d/%d migrate=%d bwd=%d samples=%d",
+		grow.ExecTime, grow.Events, grow.Metrics.VolCS, grow.Metrics.InvolCS,
+		grow.Metrics.MigrationsInNode+grow.Metrics.MigrationsCrossNode, grow.Metrics.BWDDeschedules, smp.Len())
+
+	rings := make([]*TraceRing, 2)
+	res, err := cluster.Run(cluster.FleetConfig{
+		Machines:        2,
+		Machine:         cluster.MachineConfig{Feat: Features{VB: true}, Detect: DetectBWD},
+		MachinePolicies: []string{"cfs", "shinjuku"},
+		QPS:             20000,
+		Duration:        100 * Millisecond,
+		Seed:            7,
+		TracerFor: func(m int) sched.Tracer {
+			rings[m] = NewTraceRing(1 << 14)
+			return rings[m]
+		},
+		SamplerFor: func(int) sched.Sampler { return NewMetricsSampler(MetricsConfig{}) },
+	})
+	if err != nil {
+		panic(err)
+	}
+	s8 := fmt.Sprintf("fleet cfs+shinjuku goodput=%.3f mean=%d p99=%d events=%d traced=%d/%d",
+		res.GoodputQPS, res.Mean, res.P99, res.Events, rings[0].Len(), rings[1].Len())
+	return []string{s1, s2, s3, s4, s5, s6, s7, s8}
+}
+
+// TestGoldenMachinePaths pins every machine-construction entry point to
+// the outputs it had before those entry points shared one constructor.
+func TestGoldenMachinePaths(t *testing.T) {
+	want := []string{
+		"system digest=9b27065133303e90 cs=92/9 wake=58 vbwake=34 bwd=8",
+		"spin pthread ple vm exec=27740770 windows=2034 det=1843 tp=1724 fp=119",
+		"sensitivity ticket tries=300 tp=297",
+		"indirect rndread percs=8814.417 sw=144",
+		"prim cond vb exec=118187785",
+		"web served=1500 mean=2120003 p95=2360008 p99=2429396 vbwake=3015 epoll=4507/4507",
+		"grow smt2 exec=63495068 events=16863 cs=0/2511 migrate=9 bwd=2511 samples=635",
+		"fleet cfs+shinjuku goodput=20622.222 mean=30252 p99=125634 events=80175 traced=9903/15175",
+	}
+	got := machinePathSummaries()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("machine path %d diverged from its pin:\n got %q\nwant %q", i, got[i], want[i])
 		}
 	}
 }

@@ -37,11 +37,27 @@ const DefaultInterval = 100 * sim.Microsecond
 type Mode int
 
 const (
+	// ModeOff runs without spin detection (vanilla): spinners burn their
+	// full slice.
+	ModeOff Mode = iota
 	// ModeBWD is the paper's LBR+PMC detector.
-	ModeBWD Mode = iota
+	ModeBWD
 	// ModePLE is the hardware pause-loop-exiting baseline (VMs only).
 	ModePLE
 )
+
+// String names the mode as the CLIs print it.
+func (m Mode) String() string {
+	switch m {
+	case ModeOff:
+		return "off"
+	case ModeBWD:
+		return "bwd"
+	case ModePLE:
+		return "ple"
+	}
+	return "?"
+}
 
 // Config tunes a Detector.
 type Config struct {
@@ -121,6 +137,8 @@ func (d *Detector) tick(cpu int) {
 	core := d.k.Core(cpu)
 	detected := false
 	switch d.cfg.Mode {
+	case ModeOff:
+		// A detector that detects nothing still counts windows.
 	case ModeBWD:
 		detected = core.LBR.Full() &&
 			core.LBR.AllIdenticalBackward() &&

@@ -18,8 +18,6 @@ import (
 	"fmt"
 
 	"oversub/internal/bwd"
-	"oversub/internal/futex"
-	"oversub/internal/hw"
 	"oversub/internal/locks"
 	"oversub/internal/sched"
 	"oversub/internal/sim"
@@ -38,7 +36,7 @@ type MachineConfig struct {
 	// Feat selects kernel features (VB, pinning).
 	Feat sched.Features
 	// Detect selects the spin detector (BWD/PLE).
-	Detect workload.Detection
+	Detect bwd.Mode
 	// SchedPolicy selects the scheduling policy every machine's kernel
 	// runs ("" = cfs); FleetConfig.MachinePolicies overrides it
 	// per-machine. It is distinct from FleetConfig.Policy, which names the
@@ -343,46 +341,25 @@ func buildFleet(cfg FleetConfig, eng *sim.Engine) (*fleet, error) {
 	}
 
 	// Build machines in index order (RNG splits, thread spawn order).
-	perSocket := (cfg.Machine.Cores + 1) / 2
-	if perSocket < 1 {
-		perSocket = 1
-	}
-	topo := hw.Topology{Sockets: 2, CoresPerSocket: perSocket, ThreadsPerCore: cfg.Machine.SMT}
 	for m := 0; m < cfg.Machines; m++ {
 		f.issued[m] = make([]uint64, len(cfg.Tenants))
-		pol := cfg.Machine.SchedPolicy
+		spec := workload.MachineSpec{
+			Cores: cfg.Machine.Cores, SMT: cfg.Machine.SMT, Feat: cfg.Machine.Feat,
+			Policy: cfg.Machine.SchedPolicy, Seed: cfg.Seed + uint64(m)*1000 + 99,
+			Detect: cfg.Machine.Detect,
+		}
 		if len(cfg.MachinePolicies) > 0 {
-			pol = cfg.MachinePolicies[m%len(cfg.MachinePolicies)]
+			spec.Policy = cfg.MachinePolicies[m%len(cfg.MachinePolicies)]
 		}
-		k := sched.New(eng, sched.Config{
-			Topo:   topo,
-			NCPUs:  cfg.Machine.Cores * cfg.Machine.SMT,
-			Costs:  sched.DefaultCosts(),
-			Feat:   cfg.Machine.Feat,
-			Seed:   cfg.Seed + uint64(m)*1000 + 99,
-			Policy: pol,
-		})
 		if cfg.TracerFor != nil {
-			if tr := cfg.TracerFor(m); tr != nil {
-				k.SetTracer(tr)
-			}
+			spec.Tracer = cfg.TracerFor(m)
 		}
-		mc := &machine{k: k}
 		if cfg.SamplerFor != nil {
-			if s := cfg.SamplerFor(m); s != nil {
-				k.SetSampler(s)
-				mc.smp = s
-			}
+			spec.Sampler = cfg.SamplerFor(m)
 		}
-		switch cfg.Machine.Detect {
-		case workload.DetectBWD:
-			mc.det = bwd.New(k, bwd.Config{Mode: bwd.ModeBWD})
-		case workload.DetectPLE:
-			mc.det = bwd.New(k, bwd.Config{Mode: bwd.ModePLE})
-		case workload.DetectOff:
-			// Vanilla machines run without wake-assist.
-		}
-		tbl := futex.NewTable(k, 0)
+		wm := workload.NewMachine(eng, spec)
+		k, tbl := wm.K, wm.Futexes
+		mc := &machine{k: k, smp: spec.Sampler, det: wm.Det}
 		for ti := range cfg.Tenants {
 			ts := &cfg.Tenants[ti]
 			shards := make([]locks.Locker, ts.Shards)

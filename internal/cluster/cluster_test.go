@@ -8,9 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"oversub/internal/bwd"
 	"oversub/internal/sched"
 	"oversub/internal/sim"
-	"oversub/internal/workload"
 )
 
 func smallFleet(machines int, seed uint64) FleetConfig {
@@ -135,7 +135,7 @@ func TestFleetVBBWDBeatsVanilla(t *testing.T) {
 		t.Fatal(err)
 	}
 	both := base
-	both.Machine = MachineConfig{Feat: sched.Features{VB: true}, Detect: workload.DetectBWD}
+	both.Machine = MachineConfig{Feat: sched.Features{VB: true}, Detect: bwd.ModeBWD}
 	vb, err := Run(both)
 	if err != nil {
 		t.Fatal(err)

@@ -146,9 +146,6 @@ func NewSampler(cfg Config) *Sampler {
 // SampleInterval implements sched.Sampler.
 func (s *Sampler) SampleInterval() sim.Duration { return s.interval }
 
-// Interval returns the base sampling period.
-func (s *Sampler) Interval() sim.Duration { return s.interval }
-
 // Policy returns the sampled kernel's scheduling-policy name, or "" before
 // the first snapshot.
 func (s *Sampler) Policy() string { return s.policy }

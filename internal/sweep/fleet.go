@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 
+	"oversub/internal/bwd"
 	"oversub/internal/cluster"
 	"oversub/internal/runner"
 	"oversub/internal/sched"
 	"oversub/internal/sim"
-	"oversub/internal/workload"
 )
 
 // FleetVariants returns the fleet comparison set: the four kernel
@@ -21,8 +21,8 @@ func FleetVariants() []Variant {
 		{Label: "vb", Feat: sched.Features{VB: true}},
 		// StandardVariants has no BWD-only point; the fleet's spin-lock
 		// tenant makes it informative here.
-		{Label: "bwd", Detect: workload.DetectBWD},
-		{Label: "vb+bwd", Feat: sched.Features{VB: true}, Detect: workload.DetectBWD},
+		{Label: "bwd", Detect: bwd.ModeBWD},
+		{Label: "vb+bwd", Feat: sched.Features{VB: true}, Detect: bwd.ModeBWD},
 	}
 }
 

@@ -10,25 +10,18 @@ import (
 	"io"
 	"sort"
 
+	"oversub/internal/bwd"
 	"oversub/internal/runner"
 	"oversub/internal/sched"
 	"oversub/internal/sim"
 	"oversub/internal/workload"
 )
 
-// Axis is one sweep dimension.
-type Axis struct {
-	// Name labels the dimension in output ("threads", "cores", ...).
-	Name string
-	// Values are the points swept.
-	Values []int
-}
-
 // Variant is one kernel configuration under comparison.
 type Variant struct {
 	Label  string
 	Feat   sched.Features
-	Detect workload.Detection
+	Detect bwd.Mode
 	// Policy selects the scheduling policy ("" = cfs), so a sweep can
 	// compare policies as variants the same way it compares features.
 	Policy string
@@ -40,7 +33,7 @@ func StandardVariants() []Variant {
 		{Label: "vanilla"},
 		{Label: "pinned", Feat: sched.Features{Pinned: true}},
 		{Label: "vb", Feat: sched.Features{VB: true}},
-		{Label: "vb+bwd", Feat: sched.Features{VB: true}, Detect: workload.DetectBWD},
+		{Label: "vb+bwd", Feat: sched.Features{VB: true}, Detect: bwd.ModeBWD},
 	}
 }
 
@@ -130,32 +123,6 @@ func (g *Grid) Lookup(threads, cores int, variant string) *Cell {
 		}
 	}
 	return nil
-}
-
-// Best returns the fastest completed variant at a grid point, or nil.
-func (g *Grid) Best(threads, cores int) *Cell {
-	var best *Cell
-	for i := range g.Cells {
-		c := &g.Cells[i]
-		if c.Threads != threads || c.Cores != cores || c.Result.Err != nil {
-			continue
-		}
-		if best == nil || c.Result.ExecTime < best.Result.ExecTime {
-			best = c
-		}
-	}
-	return best
-}
-
-// Speedup returns variant a's time divided by variant b's at a point
-// (how much faster b is), or 0 if either is missing or failed.
-func (g *Grid) Speedup(threads, cores int, a, b string) float64 {
-	ca, cb := g.Lookup(threads, cores, a), g.Lookup(threads, cores, b)
-	if ca == nil || cb == nil || ca.Result.Err != nil || cb.Result.Err != nil ||
-		cb.Result.ExecTime == 0 {
-		return 0
-	}
-	return float64(ca.Result.ExecTime) / float64(cb.Result.ExecTime)
 }
 
 // Variants lists the variant labels present, in first-seen order.

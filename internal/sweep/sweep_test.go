@@ -41,19 +41,22 @@ func TestSweepLookupAndSpeedup(t *testing.T) {
 		t.Error("Lookup wrong")
 	}
 	// At 32 threads on 8 cores, VB beats vanilla for streamcluster.
-	if sp := g.Speedup(32, 8, "vanilla", "vb"); sp <= 1.0 {
+	van, vb := g.Lookup(32, 8, "vanilla"), g.Lookup(32, 8, "vb")
+	if sp := float64(van.Result.ExecTime) / float64(vb.Result.ExecTime); sp <= 1.0 {
 		t.Errorf("vanilla/vb speedup = %.2f, want > 1", sp)
 	}
-	if sp := g.Speedup(32, 8, "vanilla", "missing"); sp != 0 {
-		t.Errorf("missing variant speedup = %v, want 0", sp)
+	if g.Lookup(32, 8, "missing") != nil {
+		t.Error("Lookup found a missing variant")
 	}
 }
 
 func TestSweepBest(t *testing.T) {
 	g := smallGrid(t)
-	best := g.Best(32, 8)
-	if best == nil {
-		t.Fatal("no best cell")
+	var best *Cell
+	for _, v := range g.Variants() {
+		if c := g.Lookup(32, 8, v); best == nil || c.Result.ExecTime < best.Result.ExecTime {
+			best = c
+		}
 	}
 	if best.Variant == "vanilla" {
 		t.Errorf("best at 32T/8c is vanilla; expected an optimized variant (got %s)", best.Variant)

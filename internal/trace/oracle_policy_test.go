@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"oversub/internal/bwd"
 	"oversub/internal/sched"
 	"oversub/internal/workload"
 )
@@ -17,14 +18,14 @@ import (
 func TestOraclePolicyFeatureMatrix(t *testing.T) {
 	type cell struct {
 		feat   sched.Features
-		detect workload.Detection
+		detect bwd.Mode
 		label  string
 	}
 	cells := []cell{
 		{label: "vanilla"},
 		{feat: sched.Features{VB: true}, label: "vb"},
-		{detect: workload.DetectBWD, label: "bwd"},
-		{feat: sched.Features{VB: true}, detect: workload.DetectBWD, label: "vb+bwd"},
+		{detect: bwd.ModeBWD, label: "bwd"},
+		{feat: sched.Features{VB: true}, detect: bwd.ModeBWD, label: "vb+bwd"},
 	}
 	for _, pol := range sched.PolicyNames() {
 		for _, cl := range cells {
@@ -50,7 +51,7 @@ func TestOraclePolicySpinRing(t *testing.T) {
 		t.Run(pol, func(t *testing.T) {
 			r := runTraced(t, "lu", workload.RunConfig{
 				Threads: 16, Cores: 4, Seed: 5, WorkScale: 0.02,
-				Detect: workload.DetectBWD, Policy: pol,
+				Detect: bwd.ModeBWD, Policy: pol,
 			})
 			checkClean(t, r)
 		})

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"testing"
 
+	"oversub/internal/bwd"
 	"oversub/internal/sched"
 	"oversub/internal/sim"
 	. "oversub/internal/trace"
@@ -53,10 +54,9 @@ func TestOracleFutexHeavyVanilla(t *testing.T) {
 	if n := len(r.Events()); n == 0 {
 		t.Fatal("no events recorded")
 	}
-	sum := r.Summary()
-	if sum[Block] == 0 || sum[Wake] == 0 {
+	if countKind(r, Block) == 0 || countKind(r, Wake) == 0 {
 		t.Errorf("futex-heavy run recorded block/wake = %d/%d, want both > 0",
-			sum[Block], sum[Wake])
+			countKind(r, Block), countKind(r, Wake))
 	}
 }
 
@@ -66,9 +66,8 @@ func TestOracleFutexHeavyVB(t *testing.T) {
 		Feat: sched.Features{VB: true},
 	})
 	checkClean(t, r)
-	sum := r.Summary()
-	if sum[VBlock] == 0 || sum[VWake] == 0 {
-		t.Errorf("VB run recorded vblock/vwake = %d/%d, want both > 0", sum[VBlock], sum[VWake])
+	if countKind(r, VBlock) == 0 || countKind(r, VWake) == 0 {
+		t.Errorf("VB run recorded vblock/vwake = %d/%d, want both > 0", countKind(r, VBlock), countKind(r, VWake))
 	}
 }
 
@@ -76,11 +75,10 @@ func TestOracleSpinHeavyBWD(t *testing.T) {
 	// lu: the custom-spin wavefront pipeline, with BWD descheduling spinners.
 	r := runTraced(t, "lu", workload.RunConfig{
 		Threads: 16, Cores: 4, Seed: 5, WorkScale: 0.05,
-		Detect: workload.DetectBWD,
+		Detect: bwd.ModeBWD,
 	})
 	checkClean(t, r)
-	sum := r.Summary()
-	if sum[BWD] == 0 {
+	if countKind(r, BWD) == 0 {
 		t.Error("spin-heavy BWD run recorded no bwd-deschedule events")
 	}
 }
@@ -111,11 +109,10 @@ func TestOracleElasticResize(t *testing.T) {
 		},
 	})
 	checkClean(t, r)
-	sum := r.Summary()
-	if sum[CPUResize] != 2 {
-		t.Errorf("cpuset-resize events = %d, want 2", sum[CPUResize])
+	if countKind(r, CPUResize) != 2 {
+		t.Errorf("cpuset-resize events = %d, want 2", countKind(r, CPUResize))
 	}
-	if sum[Migrate] == 0 {
+	if countKind(r, Migrate) == 0 {
 		t.Error("elastic run recorded no migrations")
 	}
 }

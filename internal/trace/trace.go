@@ -188,25 +188,11 @@ func (r *Ring) Dropped() uint64 { return r.dropped }
 // Len returns the number of retained events.
 func (r *Ring) Len() int { return r.n }
 
-// Summary counts events by kind. Textual consumers should prefer Counts:
-// ranging over the returned map prints in randomized order.
-func (r *Ring) Summary() map[Kind]int {
-	out := make(map[Kind]int)
-	for _, e := range r.Events() {
-		out[e.Kind]++
-	}
-	return out
-}
-
 // KindCount is one entry of an ordered event-kind tally.
 type KindCount struct {
 	Kind Kind
 	N    int
 }
-
-// Counts tallies events by kind, sorted by kind name — the deterministic
-// counterpart of Summary for rendered output.
-func (r *Ring) Counts() []KindCount { return CountKinds(r.Events()) }
 
 // CountKinds tallies an event slice by kind, sorted by kind name.
 func CountKinds(events []Event) []KindCount {

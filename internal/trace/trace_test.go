@@ -26,18 +26,27 @@ func tracedKernel(t *testing.T, cap int) (*sched.Kernel, *Ring) {
 	return k, r
 }
 
+// countKind returns how many of r's events have kind k.
+func countKind(r *Ring, k Kind) int {
+	for _, c := range CountKinds(r.Events()) {
+		if c.Kind == k {
+			return c.N
+		}
+	}
+	return 0
+}
+
 func TestRecordsDispatchAndExit(t *testing.T) {
 	k, r := tracedKernel(t, 1024)
 	k.Spawn("w", func(th *sched.Thread) { th.Run(sim.Millisecond) })
 	if err := k.RunToCompletion(0); err != nil {
 		t.Fatal(err)
 	}
-	sum := r.Summary()
-	if sum[Dispatch] == 0 {
+	if countKind(r, Dispatch) == 0 {
 		t.Error("no dispatch events recorded")
 	}
-	if sum[Exit] != 1 {
-		t.Errorf("Exit events = %d, want 1", sum[Exit])
+	if countKind(r, Exit) != 1 {
+		t.Errorf("Exit events = %d, want 1", countKind(r, Exit))
 	}
 	// Chronological order.
 	evs := r.Events()
@@ -60,9 +69,8 @@ func TestRecordsBlockingLifecycle(t *testing.T) {
 	if err := k.RunToCompletion(0); err != nil {
 		t.Fatal(err)
 	}
-	sum := r.Summary()
-	if sum[Block] != 1 || sum[Wake] != 1 {
-		t.Errorf("block/wake = %d/%d, want 1/1", sum[Block], sum[Wake])
+	if countKind(r, Block) != 1 || countKind(r, Wake) != 1 {
+		t.Errorf("block/wake = %d/%d, want 1/1", countKind(r, Block), countKind(r, Wake))
 	}
 }
 
@@ -259,14 +267,14 @@ func TestCountsOrdered(t *testing.T) {
 	r.Trace(2, 0, 1, string(Dispatch), 0)
 	r.Trace(3, 0, 1, string(Wake), 0)
 	r.Trace(4, 0, 1, string(Block), 0)
-	got := r.Counts()
+	got := CountKinds(r.Events())
 	want := []KindCount{{Block, 1}, {Dispatch, 1}, {Wake, 2}}
 	if len(got) != len(want) {
-		t.Fatalf("Counts() = %v, want %v", got, want)
+		t.Fatalf("CountKinds = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("Counts()[%d] = %v, want %v", i, got[i], want[i])
+			t.Errorf("CountKinds[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

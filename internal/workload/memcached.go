@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"oversub/internal/futex"
 	"oversub/internal/locks"
 	"oversub/internal/sched"
 	"oversub/internal/sim"
@@ -121,15 +120,10 @@ func Memcached(cfg MemcachedConfig) MemcachedResult {
 		cfg.ValSize = 2048
 	}
 
-	k := newKernel(cfg.Cores, 1, sched.Features{VB: cfg.VB}, cfg.Seed, cfg.Policy)
-	if cfg.Tracer != nil {
-		k.SetTracer(cfg.Tracer)
-	}
-	if cfg.Sampler != nil {
-		k.SetSampler(cfg.Sampler)
-	}
-	eng := k.Engine()
-	tbl := futex.NewTable(k, 0)
+	eng := microEngine(cfg.Seed)
+	m := NewMachine(eng, MachineSpec{Cores: cfg.Cores, Feat: sched.Features{VB: cfg.VB}, Policy: cfg.Policy,
+		Seed: cfg.Seed, Tracer: cfg.Tracer, Sampler: cfg.Sampler})
+	k, tbl := m.K, m.Futexes
 
 	// The item-lock table: memcached shards its hash table locks.
 	nShards := cfg.LockShards

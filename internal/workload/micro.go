@@ -2,7 +2,6 @@ package workload
 
 import (
 	"oversub/internal/bwd"
-	"oversub/internal/futex"
 	"oversub/internal/hw"
 	"oversub/internal/locks"
 	"oversub/internal/mem"
@@ -10,27 +9,9 @@ import (
 	"oversub/internal/sim"
 )
 
-// newKernel builds a one-off kernel for a micro-benchmark. policy selects
-// the scheduling policy ("" = cfs); the Figure 2/5 micro-benchmarks pass ""
-// so their golden outputs pin the default scheduler.
-func newKernel(cores, smt int, feat sched.Features, seed uint64, policy string) *sched.Kernel {
-	if smt <= 0 {
-		smt = 1
-	}
-	perSocket := (cores + 1) / 2
-	if perSocket < 1 {
-		perSocket = 1
-	}
-	eng := sim.NewEngine(seed*7919 + 3)
-	return sched.New(eng, sched.Config{
-		Topo:   hw.Topology{Sockets: 2, CoresPerSocket: perSocket, ThreadsPerCore: smt},
-		NCPUs:  cores * smt,
-		Costs:  sched.DefaultCosts(),
-		Feat:   feat,
-		Seed:   seed,
-		Policy: policy,
-	})
-}
+// microEngine seeds the engine of a micro-benchmark or a single-machine
+// service model; the machine's kernel takes seed itself.
+func microEngine(seed uint64) *sim.Engine { return sim.NewEngine(seed*7919 + 3) }
 
 // DirectCostResult is one point of the Figure 2 curve.
 type DirectCostResult struct {
@@ -47,7 +28,7 @@ type DirectCostResult struct {
 // adds no oversubscription overhead, since at most one thread runs at a
 // time.
 func DirectCost(n int, atomicShared bool, seed uint64) DirectCostResult {
-	k := newKernel(1, 1, sched.Features{}, seed, "")
+	k := NewMachine(microEngine(seed), MachineSpec{Cores: 1, Seed: seed}).K
 	const total = 120 * sim.Millisecond
 	iter := k.Costs().MinGranularity
 	shared := k.NewWord(0)
@@ -99,7 +80,7 @@ func IndirectCost(p mem.Pattern, total int64, seed uint64) IndirectCostResult {
 	model := mem.NewModel(hw.PaperCaches())
 
 	serial := func() sim.Duration {
-		k := newKernel(1, 1, sched.Features{}, seed, "")
+		k := NewMachine(microEngine(seed), MachineSpec{Cores: 1, Seed: seed}).K
 		fp := mem.Footprint{Pattern: p, Bytes: total}
 		k.Spawn("serial", func(t *sched.Thread) {
 			t.Footprint = fp
@@ -114,7 +95,7 @@ func IndirectCost(p mem.Pattern, total int64, seed uint64) IndirectCostResult {
 		return k.Now().Sub(0)
 	}()
 
-	k := newKernel(1, 1, sched.Features{}, seed, "")
+	k := NewMachine(microEngine(seed), MachineSpec{Cores: 1, Seed: seed}).K
 	sub := mem.Footprint{Pattern: p, Bytes: total / 2}
 	for i := 0; i < 2; i++ {
 		k.Spawn("half", func(t *sched.Thread) {
@@ -169,8 +150,8 @@ func (p Primitive) String() string {
 // execution time is dominated by the kernel's sleep/wakeup path. It
 // returns total execution time; Figure 10 reports vanilla/VB speedups.
 func PrimitiveStress(p Primitive, threads, cores int, vb bool, seed uint64) sim.Duration {
-	k := newKernel(cores, 1, sched.Features{VB: vb}, seed, "")
-	tbl := futex.NewTable(k, 0)
+	m := NewMachine(microEngine(seed), MachineSpec{Cores: cores, Feat: sched.Features{VB: vb}, Seed: seed})
+	k, tbl := m.K, m.Futexes
 	const iters = 1500
 	think := 3 * sim.Microsecond
 	switch p {
@@ -306,8 +287,10 @@ type SpinPipelineResult struct {
 // pipeline whose stage handoffs serialize through one spinlock, so a
 // stalled stage cascades into its downstream stages. The total locked work
 // is fixed (strong scaling); threads spin while waiting their turn.
-func SpinPipeline(kind SpinLockKind, threads, cores int, detect Detection, vm bool, seed uint64) SpinPipelineResult {
-	k := newKernel(cores, 1, sched.Features{VM: vm}, seed+uint64(kind)*977, "")
+func SpinPipeline(kind SpinLockKind, threads, cores int, detect bwd.Mode, vm bool, seed uint64) SpinPipelineResult {
+	seed += uint64(kind) * 977
+	m := NewMachine(microEngine(seed), MachineSpec{Cores: cores, Feat: sched.Features{VM: vm}, Seed: seed, Detect: detect})
+	k, det := m.K, m.Det
 	l := kind.New(k)
 	const totalRounds = 160
 	const stageWork = 150 * sim.Microsecond
@@ -321,15 +304,6 @@ func SpinPipeline(kind SpinLockKind, threads, cores int, detect Detection, vm bo
 				t.Run(2 * sim.Microsecond)
 			}
 		})
-	}
-	var det *bwd.Detector
-	switch detect {
-	case DetectBWD:
-		det = bwd.New(k, bwd.Config{Mode: bwd.ModeBWD})
-	case DetectPLE:
-		det = bwd.New(k, bwd.Config{Mode: bwd.ModePLE})
-	case DetectOff:
-		// No detector: the oversubscribed locks spin unassisted.
 	}
 	if det != nil {
 		det.Start()
@@ -358,7 +332,9 @@ type SensitivityResult struct {
 // acquisition attempt spins with the algorithm's own loop signature; BWD
 // should flag essentially every attempt.
 func Sensitivity(kind SpinLockKind, tries int, seed uint64) SensitivityResult {
-	k := newKernel(1, 1, sched.Features{}, seed+uint64(kind)*131, "")
+	seed += uint64(kind) * 131
+	m := NewMachine(microEngine(seed), MachineSpec{Cores: 1, Seed: seed, Detect: bwd.ModeBWD})
+	k, det := m.K, m.Det
 	l := kind.New(k)
 	sig := l.Sig()
 	never := k.NewWord(0)
@@ -387,7 +363,6 @@ func Sensitivity(kind SpinLockKind, tries int, seed uint64) SensitivityResult {
 		}
 		done = true
 	})
-	det := bwd.New(k, bwd.Config{Mode: bwd.ModeBWD})
 	det.Start()
 	if err := k.RunToCompletion(sim.Time(600 * sim.Second)); err != nil {
 		panic(err)

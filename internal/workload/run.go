@@ -12,31 +12,6 @@ import (
 	"oversub/internal/sim"
 )
 
-// Detection selects the spin detector for a run.
-type Detection int
-
-const (
-	// DetectOff runs without any spin detection (vanilla).
-	DetectOff Detection = iota
-	// DetectBWD runs the paper's busy-waiting detection.
-	DetectBWD
-	// DetectPLE runs the hardware pause-loop-exiting baseline.
-	DetectPLE
-)
-
-// String names the detector as the CLIs print it.
-func (d Detection) String() string {
-	switch d {
-	case DetectOff:
-		return "off"
-	case DetectBWD:
-		return "bwd"
-	case DetectPLE:
-		return "ple"
-	}
-	return "?"
-}
-
 // CPUChange is a scheduled cpuset resize (CPU elasticity, Figure 11).
 type CPUChange struct {
 	At    sim.Duration
@@ -54,7 +29,7 @@ type RunConfig struct {
 	// Feat selects kernel features (VB, pinning, VM).
 	Feat sched.Features
 	// Detect selects the spin detector.
-	Detect Detection
+	Detect bwd.Mode
 	// Seed makes the run reproducible.
 	Seed uint64
 	// WorkScale scales the spec's TotalWork (0 = 1.0).
@@ -136,40 +111,13 @@ func Run(spec *Spec, cfg RunConfig) Result {
 	// will enable.
 	maxCores := cores
 	for _, ch := range cfg.Plan {
-		if ch.Cores > maxCores {
-			maxCores = ch.Cores
-		}
+		maxCores = max(maxCores, ch.Cores)
 	}
-	perSocket := (maxCores + 1) / 2
-	if perSocket < 1 {
-		perSocket = 1
-	}
-	topo := hw.Topology{Sockets: 2, CoresPerSocket: perSocket, ThreadsPerCore: smt}
-	k := sched.New(eng, sched.Config{
-		Topo:   topo,
-		NCPUs:  cores * smt,
-		Costs:  sched.DefaultCosts(),
-		Feat:   cfg.Feat,
-		Seed:   cfg.Seed + 99,
-		Policy: cfg.Policy,
+	m := NewMachine(eng, MachineSpec{
+		Cores: cores, MaxCores: maxCores, SMT: smt, Feat: cfg.Feat, Policy: cfg.Policy,
+		Seed: cfg.Seed + 99, Detect: cfg.Detect, Tracer: cfg.Tracer, Sampler: cfg.Sampler,
 	})
-	tbl := futex.NewTable(k, 0)
-	if cfg.Tracer != nil {
-		k.SetTracer(cfg.Tracer)
-	}
-	if cfg.Sampler != nil {
-		k.SetSampler(cfg.Sampler)
-	}
-
-	var det *bwd.Detector
-	switch cfg.Detect {
-	case DetectBWD:
-		det = bwd.New(k, bwd.Config{Mode: bwd.ModeBWD})
-	case DetectPLE:
-		det = bwd.New(k, bwd.Config{Mode: bwd.ModePLE})
-	case DetectOff:
-		// No detector: the baseline the paper's Figures compare against.
-	}
+	k, det := m.K, m.Det
 
 	work := sim.Duration(float64(spec.TotalWork) * scale)
 	if cfg.WeakScaling && spec.OptimalThreads > 0 {
@@ -178,7 +126,7 @@ func Run(spec *Spec, cfg RunConfig) Result {
 	r := &runner{
 		spec:     spec,
 		k:        k,
-		tbl:      tbl,
+		tbl:      m.Futexes,
 		threads:  threads,
 		cores:    cores,
 		work:     work,

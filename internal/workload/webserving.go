@@ -70,11 +70,9 @@ func WebServing(cfg WebConfig) WebResult {
 		cfg.BackendRTT = 120 * sim.Microsecond
 	}
 
-	k := newKernel(cfg.Cores, 1, sched.Features{VB: cfg.VB}, cfg.Seed, cfg.Policy)
-	if cfg.Sampler != nil {
-		k.SetSampler(cfg.Sampler)
-	}
-	eng := k.Engine()
+	eng := microEngine(cfg.Seed)
+	k := NewMachine(eng, MachineSpec{Cores: cfg.Cores, Feat: sched.Features{VB: cfg.VB}, Policy: cfg.Policy,
+		Seed: cfg.Seed, Sampler: cfg.Sampler}).K
 
 	frontPolls := make([]*epoll.Poll, cfg.Workers)
 	backPolls := make([]*epoll.Poll, cfg.Workers)

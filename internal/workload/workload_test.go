@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"oversub/internal/bwd"
 	"oversub/internal/mem"
 	"oversub/internal/sched"
 	"oversub/internal/sim"
@@ -135,7 +136,7 @@ func TestBWDRecoversCustomSpin(t *testing.T) {
 	s := Find("volrend")
 	base := Run(s, RunConfig{Threads: 8, Cores: 8, Seed: 4})
 	vanilla := Run(s, RunConfig{Threads: 32, Cores: 8, Seed: 4})
-	opt := Run(s, RunConfig{Threads: 32, Cores: 8, Seed: 4, Detect: DetectBWD})
+	opt := Run(s, RunConfig{Threads: 32, Cores: 8, Seed: 4, Detect: bwd.ModeBWD})
 	rv := ratio(vanilla, base)
 	ro := ratio(opt, base)
 	if rv < 3 {
@@ -152,7 +153,7 @@ func TestBWDRecoversCustomSpin(t *testing.T) {
 func TestPLEUselessForCustomSpin(t *testing.T) {
 	s := Find("volrend")
 	vanilla := Run(s, RunConfig{Threads: 16, Cores: 8, Seed: 5, Feat: sched.Features{VM: true}})
-	ple := Run(s, RunConfig{Threads: 16, Cores: 8, Seed: 5, Feat: sched.Features{VM: true}, Detect: DetectPLE})
+	ple := Run(s, RunConfig{Threads: 16, Cores: 8, Seed: 5, Feat: sched.Features{VM: true}, Detect: bwd.ModePLE})
 	if ple.BWD.Detections != 0 {
 		t.Errorf("PLE detected %d windows of PAUSE-free spinning", ple.BWD.Detections)
 	}
@@ -260,9 +261,9 @@ func TestPrimitiveStressVBSpeedups(t *testing.T) {
 func TestSpinPipelineBWDRecovery(t *testing.T) {
 	// Figure 13 shape for a queue lock: 32T vanilla collapses, BWD
 	// restores near the 8T time, PLE does not help PAUSE-free locks.
-	base := SpinPipeline(LockMCS, 8, 8, DetectOff, false, 11)
-	vanilla := SpinPipeline(LockMCS, 32, 8, DetectOff, false, 11)
-	opt := SpinPipeline(LockMCS, 32, 8, DetectBWD, false, 11)
+	base := SpinPipeline(LockMCS, 8, 8, bwd.ModeOff, false, 11)
+	vanilla := SpinPipeline(LockMCS, 32, 8, bwd.ModeOff, false, 11)
+	opt := SpinPipeline(LockMCS, 32, 8, bwd.ModeBWD, false, 11)
 	rv := float64(vanilla.ExecTime) / float64(base.ExecTime)
 	ro := float64(opt.ExecTime) / float64(base.ExecTime)
 	if rv < 2.3 {
@@ -271,7 +272,7 @@ func TestSpinPipelineBWDRecovery(t *testing.T) {
 	if ro > 2.5 {
 		t.Errorf("MCS pipeline BWD ratio = %.1f, want near baseline", ro)
 	}
-	ple := SpinPipeline(LockMCS, 32, 8, DetectPLE, true, 11)
+	ple := SpinPipeline(LockMCS, 32, 8, bwd.ModePLE, true, 11)
 	rp := float64(ple.ExecTime) / float64(base.ExecTime)
 	if rp < rv*0.7 {
 		t.Errorf("PLE ratio %.1f suspiciously good for a PAUSE-free lock (vanilla %.1f)", rp, rv)

@@ -141,13 +141,13 @@ const (
 )
 
 // DetectMode selects the spin detector; it is shared with BenchConfig.
-type DetectMode = workload.Detection
+type DetectMode = bwd.Mode
 
 // Detector modes.
 const (
-	DetectOff = workload.DetectOff
-	DetectBWD = workload.DetectBWD
-	DetectPLE = workload.DetectPLE
+	DetectOff = bwd.ModeOff
+	DetectBWD = bwd.ModeBWD
+	DetectPLE = bwd.ModePLE
 )
 
 // DefaultCosts returns the paper-calibrated kernel cost table.
@@ -204,47 +204,15 @@ func NewSystem(cfg SystemConfig) *System {
 	if cores <= 0 {
 		cores = 8
 	}
-	maxCores := cfg.MaxCores
-	if maxCores < cores {
-		maxCores = cores
-	}
-	smt := cfg.SMT
-	if smt <= 0 {
-		smt = 1
-	}
-	costs := DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
 	eng := sim.NewEngine(cfg.Seed*1000003 + 5)
-	perSocket := (maxCores + 1) / 2
-	if perSocket < 1 {
-		perSocket = 1
-	}
-	k := sched.New(eng, sched.Config{
-		Topo:   hw.Topology{Sockets: 2, CoresPerSocket: perSocket, ThreadsPerCore: smt},
-		NCPUs:  cores * smt,
-		Costs:  costs,
-		Feat:   cfg.Features,
-		Seed:   cfg.Seed + 1,
-		Policy: cfg.Policy,
+	m := workload.NewMachine(eng, workload.MachineSpec{
+		Cores: cores, MaxCores: cfg.MaxCores, SMT: cfg.SMT, Feat: cfg.Features, Costs: cfg.Costs,
+		Policy: cfg.Policy, Seed: cfg.Seed + 1, Detect: cfg.Detect,
 	})
-	s := &System{
-		eng:    eng,
-		kernel: k,
-		ftable: futex.NewTable(k, 0),
+	if m.Det != nil {
+		m.Det.Start()
 	}
-	switch cfg.Detect {
-	case DetectBWD:
-		s.det = bwd.New(k, bwd.Config{Mode: bwd.ModeBWD})
-		s.det.Start()
-	case DetectPLE:
-		s.det = bwd.New(k, bwd.Config{Mode: bwd.ModePLE})
-		s.det.Start()
-	case workload.DetectOff:
-		// Detection disabled: spinners burn their full slice.
-	}
-	return s
+	return &System{eng: eng, kernel: m.K, ftable: m.Futexes, det: m.Det}
 }
 
 // Engine returns the simulation engine (for scheduling custom events).
