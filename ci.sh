@@ -142,10 +142,12 @@ echo "fuzz seed corpus clean."
 
 echo "== alloc gate: steady state is allocation-free =="
 # The AllocsPerRun pins must hold (pooled schedule/cancel, closure-free
-# schedule/fire, both rearm shapes, the proc Switch/Park round trip), and
-# the end-to-end kernel sleep -> timer-wake -> dispatch cycle must report
-# 0 allocs/op. A trace ring allocates what it records, not its capacity.
+# schedule/fire, both rearm shapes, the proc Switch/Park round trip, a Run
+# completed in place without either), and the end-to-end kernel sleep ->
+# timer-wake -> dispatch cycle must report 0 allocs/op. A trace ring
+# allocates what it records, not its capacity.
 go test ./internal/sim -run 'TestRearmZeroAlloc|TestFreeListZeroAlloc|TestProcSwitchZeroAlloc' -count=1 >/dev/null
+go test ./internal/sched -run 'TestRunInPlaceZeroAlloc' -count=1 >/dev/null
 go test ./internal/trace -run 'TestRingAllocatesWhatItRecords' -count=1 >/dev/null
 go test ./internal/sched -run '^$' -bench BenchmarkKernelWakeDispatch \
     -benchtime 2000x -benchmem >"$detdir/wakebench.txt"

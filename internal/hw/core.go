@@ -19,57 +19,46 @@ type BranchRecord struct {
 // a loop's closing branch.
 func (b BranchRecord) Backward() bool { return b.To < b.From }
 
-// LBR models the 16-entry last-branch-record ring buffer of one core.
+// LBR models the 16-entry last-branch-record ring buffer of one core by
+// what detectors read from it: the number of branches recorded since the
+// last Clear, and the run of identical branches at the ring's tail. Varied
+// records (ordinary control flow) are always forward branches, so their
+// addresses never matter: one of them among the last LBREntries records is
+// enough to make the ring not all-identical-backward.
 type LBR struct {
-	entries [LBREntries]BranchRecord
-	pos     int
-	total   uint64 // branches recorded since the last Clear
+	last  BranchRecord // the tail's repeated branch; zero after Clear or a varied record
+	run   uint64       // trailing records equal to last
+	total uint64       // branches recorded since the last Clear
 }
 
 // Clear empties the ring. BWD clears it at the start of each monitoring
 // period.
-func (l *LBR) Clear() {
-	l.total = 0
-	l.pos = 0
-	l.entries = [LBREntries]BranchRecord{}
-}
+func (l *LBR) Clear() { *l = LBR{} }
 
 // RecordRepeated appends the same branch n times (a spin loop retiring n
-// iterations) in O(1): only the last LBREntries records survive.
+// iterations) in O(1).
 func (l *LBR) RecordRepeated(b BranchRecord, n uint64) {
 	if n == 0 {
 		return
 	}
-	if n >= LBREntries {
-		for i := range l.entries {
-			l.entries[i] = b
-		}
-		l.pos = 0
+	if l.run > 0 && b == l.last {
+		l.run += n
 	} else {
-		for i := uint64(0); i < n; i++ {
-			l.entries[l.pos] = b
-			l.pos = (l.pos + 1) % LBREntries
-		}
+		l.last, l.run = b, n
 	}
 	l.total += n
 }
 
 // RecordVaried appends n branches with distinct pseudo-random addresses
-// (ordinary program control flow).
+// (ordinary program control flow) in O(1). The addresses are never read,
+// but the last LBREntries of them still consume two draws each, so rng's
+// stream, which other kernel code shares, is that of a ring storing them.
 func (l *LBR) RecordVaried(n uint64, rng *sim.Rand) {
 	if n == 0 {
 		return
 	}
-	// Only the last LBREntries records survive; synthesize just those.
-	keep := n
-	if keep > LBREntries {
-		keep = LBREntries
-	}
-	for i := uint64(0); i < keep; i++ {
-		from := 0x400000 + rng.Uint64()%0x100000
-		l.entries[l.pos] = BranchRecord{From: from, To: from + 32 + rng.Uint64()%512}
-		l.pos = (l.pos + 1) % LBREntries
-	}
+	rng.Skip(2 * min(n, LBREntries))
+	l.last, l.run = BranchRecord{}, 0
 	l.total += n
 }
 
@@ -83,16 +72,7 @@ func (l *LBR) Full() bool { return l.total >= LBREntries }
 // AllIdenticalBackward reports whether every entry currently in the ring is
 // the same backward branch — the spin-loop signature.
 func (l *LBR) AllIdenticalBackward() bool {
-	first := l.entries[0]
-	if !first.Backward() {
-		return false
-	}
-	for _, e := range l.entries[1:] {
-		if e != first {
-			return false
-		}
-	}
-	return true
+	return l.run >= LBREntries && l.last.Backward()
 }
 
 // PMC models the performance-counter block BWD programs: retired

@@ -110,6 +110,85 @@ func TestLBRClear(t *testing.T) {
 	}
 }
 
+// refLBR is the 16-entry ring the LBR model replaced: every record stored,
+// varied addresses drawn from rng. It is the oracle for the O(1) model.
+type refLBR struct {
+	entries [LBREntries]BranchRecord
+	pos     int
+	total   uint64
+}
+
+func (l *refLBR) clear() { *l = refLBR{} }
+
+func (l *refLBR) recordRepeated(b BranchRecord, n uint64) {
+	for i := uint64(0); i < n && i < LBREntries; i++ {
+		l.entries[l.pos] = b
+		l.pos = (l.pos + 1) % LBREntries
+	}
+	l.total += n
+}
+
+func (l *refLBR) recordVaried(n uint64, rng *sim.Rand) {
+	for i := uint64(0); i < n && i < LBREntries; i++ {
+		from := 0x400000 + rng.Uint64()%0x100000
+		l.entries[l.pos] = BranchRecord{From: from, To: from + 32 + rng.Uint64()%512}
+		l.pos = (l.pos + 1) % LBREntries
+	}
+	l.total += n
+}
+
+func (l *refLBR) allIdenticalBackward() bool {
+	for _, e := range l.entries {
+		if e != l.entries[0] || !e.Backward() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLBRMatchesReferenceRing drives the LBR and the reference ring through
+// the same random sequences of RecordRepeated, RecordVaried and Clear. Full,
+// Total and AllIdenticalBackward must agree after every step, and the two
+// RNGs must stay in lockstep.
+func TestLBRMatchesReferenceRing(t *testing.T) {
+	branches := []BranchRecord{
+		NewSpinSig(0x401000, 4, false).Branch,
+		NewSpinSig(0x402000, 4, true).Branch,
+		{From: 0x500000, To: 0x500040}, // forward
+		{},                             // the zero record a cleared ring holds
+	}
+	for seed := uint64(1); seed <= 50; seed++ {
+		drive := sim.NewRand(seed)
+		rngA, rngB := sim.NewRand(seed+100), sim.NewRand(seed+100)
+		var got LBR
+		var ref refLBR
+		for step := 0; step < 200; step++ {
+			n := drive.Uint64() % 24
+			switch drive.Intn(5) {
+			case 0, 1:
+				b := branches[drive.Intn(len(branches))]
+				got.RecordRepeated(b, n)
+				ref.recordRepeated(b, n)
+			case 2, 3:
+				got.RecordVaried(n/4, rngA)
+				ref.recordVaried(n/4, rngB)
+			case 4:
+				got.Clear()
+				ref.clear()
+			}
+			if got.Full() != (ref.total >= LBREntries) || got.Total() != ref.total ||
+				got.AllIdenticalBackward() != ref.allIdenticalBackward() {
+				t.Fatalf("seed %d step %d: LBR (full=%v total=%d spin=%v), ring (total=%d spin=%v)",
+					seed, step, got.Full(), got.Total(), got.AllIdenticalBackward(),
+					ref.total, ref.allIdenticalBackward())
+			}
+		}
+		if rngA.Uint64() != rngB.Uint64() {
+			t.Fatalf("seed %d: RecordVaried consumed a different number of draws", seed)
+		}
+	}
+}
+
 func TestAccountComputeMissRates(t *testing.T) {
 	c := &Core{}
 	rng := sim.NewRand(2)

@@ -141,6 +141,10 @@ type Kernel struct {
 	nextPin int
 
 	stopWhenIdle bool
+	// syncing is set while SyncWindow serves a CPU's request: a body it
+	// resumes must not fire compute in place, because the detector tick
+	// that called SyncWindow reads the window afterwards.
+	syncing bool
 
 	kernProfile hw.ExecProfile
 
@@ -813,6 +817,37 @@ func (k *Kernel) finishRun(c *cpu, t *Thread, epoch uint64) {
 	k.advance(c)
 }
 
+// runInPlace serves a run or tight request r of the current thread t without
+// parking, when the request's completion would be the engine's next event.
+// The body then continues at the completion instant with exactly the state
+// the queued path gives it: execute's openSegment at the start, finishRun's
+// closeSegment at the end. That holds only while nothing else is pending on
+// t's CPU (no open segment, no overhead, slice timer armed) and nothing in
+// the kernel waits to run after the body parks again (not under
+// SyncWindow); otherwise it reports false and the caller parks.
+//
+//simlint:hotpath
+func (k *Kernel) runInPlace(t *Thread, r request) bool {
+	c := k.cpus[t.cpu]
+	if k.syncing || c.curr != t || c.segKind != segNone || c.overhead > 0 || !c.slice.Active() {
+		return false
+	}
+	kind := segRun
+	if r.kind == reqTight {
+		kind = segTight
+	}
+	k.openSegment(c, kind)
+	if !k.eng.SkipTo(c.segStart.Add(k.wallFor(c, r.remaining))) {
+		c.segKind = segNone
+		return false
+	}
+	r.epoch = t.req.epoch + 1
+	t.req = r
+	k.closeSegment(c)
+	t.req.remaining = 0
+	return true
+}
+
 // finishSpin completes a spin whose condition was observed true.
 //
 //simlint:hotpath
@@ -1040,7 +1075,9 @@ func (k *Kernel) SyncWindow(cpuID int) {
 		return
 	}
 	k.closeSegment(c)
+	k.syncing = true
 	k.execute(c)
+	k.syncing = false
 }
 
 // CurrentlySpinning reports ground truth about CPU id for detector

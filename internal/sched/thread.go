@@ -231,7 +231,17 @@ func (t *Thread) Run(d sim.Duration) {
 	if d <= 0 {
 		return
 	}
-	t.park(request{kind: reqRun, remaining: d})
+	t.compute(request{kind: reqRun, remaining: d})
+}
+
+// compute serves a run or tight request: in place when its completion is
+// the engine's next event, otherwise through the kernel's queued path.
+//
+//simlint:hotpath
+func (t *Thread) compute(r request) {
+	if !t.k.runInPlace(t, r) {
+		t.park(r)
+	}
 }
 
 // RunTight consumes d of CPU time in a loop that is architecturally
@@ -241,7 +251,7 @@ func (t *Thread) RunTight(d sim.Duration, iterNS float64) {
 	if d <= 0 {
 		return
 	}
-	t.park(request{kind: reqTight, remaining: d, loopIter: iterNS})
+	t.compute(request{kind: reqTight, remaining: d, loopIter: iterNS})
 }
 
 // SpinUntil busy-waits until cond() is true. cond must depend only on
@@ -285,7 +295,7 @@ func (t *Thread) RunKernel(d sim.Duration) {
 	if d <= 0 {
 		return
 	}
-	t.park(request{kind: reqRun, remaining: d, noPreempt: true})
+	t.compute(request{kind: reqRun, remaining: d, noPreempt: true})
 }
 
 // Yield releases the CPU voluntarily; the thread stays runnable behind its

@@ -135,6 +135,13 @@ type Engine struct {
 	procs    []*Proc
 	stopped  bool
 	executed uint64
+
+	// running and until describe the Run call in progress, if any: SkipTo
+	// fires in place only inside Run and never past its horizon.
+	running bool
+	until   Time
+	// inPlace counts the events SkipTo fired.
+	inPlace uint64
 }
 
 // NewEngine returns an engine with the clock at zero and the given RNG seed.
@@ -151,7 +158,14 @@ func (e *Engine) Rand() *Rand { return e.rng }
 // Executed returns the number of events the engine has fired since
 // construction. It is a pure function of the run (benchmark/ uses it as
 // the simulator's host-ns-per-event denominator), never a simulation input.
+// Events fired in place by SkipTo count too: each one consumed the sequence
+// number its schedule call would have, and fired exactly when its queued
+// twin would have been the next pop, so the count is the same whether Run
+// or a Step loop drives the engine.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// InPlace returns how many of the Executed events SkipTo fired in place.
+func (e *Engine) InPlace() uint64 { return e.inPlace }
 
 // alloc takes a node from the pool, or makes one.
 func (e *Engine) alloc() *node {
@@ -241,6 +255,35 @@ func (e *Engine) AfterCall(d Duration, fn func(arg any, a, b uint64), arg any, a
 // Stop halts Run after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
+// SkipTo fires in place the event a caller would otherwise schedule now for
+// time t, and reports whether it did. On success it consumes that schedule's
+// sequence number, counts the firing in Executed, and moves the clock to t;
+// the caller then runs the event's work itself, without a queue round trip.
+// It refuses, changing nothing, unless the event would be the next pop of
+// the Run in progress: when any live event sorts at or before t, when t is
+// past Run's horizon, after Stop, or outside Run (so Step-driven loops never
+// fire in place). Only a caller whose remaining work after the event would
+// be nothing but returning to Run may use it: anything it runs afterwards
+// would see the later clock. Scheduling in the past panics, as in At.
+//
+//simlint:hotpath
+func (e *Engine) SkipTo(t Time) bool {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, e.now))
+	}
+	if !e.running || e.stopped || (e.until > 0 && t > e.until) {
+		return false
+	}
+	if (len(e.heap) > 0 && e.heap[0].at <= t) || e.fifoFront() != nil {
+		return false
+	}
+	e.seq++
+	e.now = t
+	e.executed++
+	e.inPlace++
+	return true
+}
+
 // Pending reports the number of live events in the queue. O(1): cancels
 // remove eagerly, so the counter never includes dead entries.
 func (e *Engine) Pending() int { return e.live }
@@ -252,6 +295,10 @@ func (e *Engine) Pending() int { return e.live }
 //simlint:hotpath
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
+	e.running, e.until = true, until
+	// A panic unwinding through Run must not leave SkipTo enabled for a
+	// later Step.
+	defer e.endRun()
 	for !e.stopped {
 		n := e.pop()
 		if n == nil {
@@ -274,6 +321,9 @@ func (e *Engine) Run(until Time) Time {
 	}
 	return e.now
 }
+
+// endRun disables SkipTo when Run returns or unwinds.
+func (e *Engine) endRun() { e.running = false }
 
 // Step executes exactly one event, if any, and reports whether it did.
 //

@@ -6,7 +6,10 @@ package sim
 // minimum (at, seq) on every pop. The fuzzer drives both through the same
 // op sequence (schedule, cancel, rearm, stop, bounded run, single step,
 // chained zero-delay callbacks) and requires identical firing order,
-// identical clocks, and an identical live-event count after every op. Any
+// identical clocks, and an identical live-event count after every op. One
+// op schedules a callback that fires an event in place with SkipTo; the
+// model accepts it only when the new (t, seq) would be its next pop inside
+// the running horizon, and logs the in-place firing. Any
 // divergence — a tombstone popped, a sift bug, a generation check missed,
 // a live-counter drift — fails immediately with the op index.
 
@@ -17,6 +20,8 @@ const (
 	oracleTimers = 2
 	// timerID namespaces timer firings away from plain-event ids in the log.
 	oracleTimerID = 1 << 32
+	// skipID namespaces in-place firings the same way.
+	oracleSkipID = 1 << 33
 )
 
 type oracleFire struct {
@@ -30,6 +35,8 @@ type oracleEvent struct {
 	id    uint64
 	chain uint8
 	timer int // -1 for plain events, else the timer index
+	// skip >= 0 makes the callback SkipTo now+skip once it fires.
+	skip Duration
 }
 
 // oracle is the naive model: an unordered slice, linear-scan min, and the
@@ -39,11 +46,18 @@ type oracle struct {
 	seq uint64
 	evs []oracleEvent
 	log []oracleFire
+	// running and until mirror the Run call in progress.
+	running bool
+	until   Time
 }
 
 func (o *oracle) schedule(d Duration, id uint64, chain uint8) uint64 {
+	return o.scheduleSkip(d, id, chain, -1)
+}
+
+func (o *oracle) scheduleSkip(d Duration, id uint64, chain uint8, skip Duration) uint64 {
 	o.seq++
-	o.evs = append(o.evs, oracleEvent{at: o.now.Add(d), seq: o.seq, id: id, chain: chain, timer: -1})
+	o.evs = append(o.evs, oracleEvent{at: o.now.Add(d), seq: o.seq, id: id, chain: chain, timer: -1, skip: skip})
 	return o.seq
 }
 
@@ -66,7 +80,7 @@ func (o *oracle) rearm(timer int, d Duration) {
 		}
 	}
 	o.evs = append(o.evs, oracleEvent{at: o.now.Add(d), seq: o.seq,
-		id: oracleTimerID + uint64(timer), timer: timer})
+		id: oracleTimerID + uint64(timer), timer: timer, skip: -1})
 }
 
 func (o *oracle) stopTimer(timer int) {
@@ -99,11 +113,33 @@ func (o *oracle) fire(i int) {
 	if ev.chain > 0 {
 		o.schedule(chainDelay(ev.id), ev.id*7+1, ev.chain-1)
 	}
+	if ev.skip >= 0 {
+		o.skipTo(ev.id, o.now.Add(ev.skip))
+	}
+}
+
+// skipTo fires in place only inside Run, within its horizon, and when an
+// event scheduled now for t (the next seq) would be the next pop: every
+// live event sorts before it if its time is at or before t.
+func (o *oracle) skipTo(id uint64, t Time) {
+	if !o.running || (o.until > 0 && t > o.until) {
+		return
+	}
+	for i := range o.evs {
+		if o.evs[i].at <= t {
+			return
+		}
+	}
+	o.seq++
+	o.now = t
+	o.log = append(o.log, oracleFire{id: oracleSkipID + id, at: t})
 }
 
 // run mirrors Engine.Run: until <= 0 means no horizon; reaching the
 // horizon advances the clock to it, draining the queue does not.
 func (o *oracle) run(until Time) {
+	o.running, o.until = true, until
+	defer func() { o.running = false }()
 	for {
 		i := o.min()
 		if i < 0 {
@@ -145,6 +181,17 @@ func (r *oracleRig) schedule(d Duration, id uint64, chain uint8) Event {
 	})
 }
 
+// scheduleSkip schedules a callback that, once fired, tries to fire an
+// event for skip later in place.
+func (r *oracleRig) scheduleSkip(d, skip Duration, id uint64) Event {
+	return r.eng.After(d, func() {
+		r.log = append(r.log, oracleFire{id: id, at: r.eng.Now()})
+		if t := r.eng.Now().Add(skip); r.eng.SkipTo(t) {
+			r.log = append(r.log, oracleFire{id: oracleSkipID + id, at: t})
+		}
+	})
+}
+
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{0x00, 0x05, 0x04, 0x09, 0x00, 0x02, 0x01, 0x00, 0x06, 0x00})
 	f.Add([]byte{0x02, 0x03, 0x02, 0x06, 0x03, 0x00, 0x02, 0x0a, 0x04, 0x04, 0x06, 0x00})
@@ -153,6 +200,12 @@ func FuzzEngineDifferential(f *testing.F) {
 		0x02, 0x0c, 0x02, 0x0d, 0x04, 0x01, 0x03, 0x01, 0x06, 0x00})
 	f.Add([]byte{0x00, 0x08, 0x04, 0x00, 0x07, 0x06, 0x07, 0x03, 0x05, 0x00, 0x01, 0x02,
 		0x01, 0x02, 0x02, 0x09, 0x02, 0x04, 0x06, 0x00})
+	// In-place firing: accepted when alone; refused on a tie with a pending
+	// event, past the horizon, and under Step.
+	f.Add([]byte{0x08, 0x08, 0x06, 0x00})
+	f.Add([]byte{0x00, 0x03, 0x08, 0x0f, 0x06, 0x00})
+	f.Add([]byte{0x08, 0x15, 0x04, 0x01, 0x06, 0x00})
+	f.Add([]byte{0x08, 0x08, 0x05, 0x00, 0x06, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := NewEngine(1)
@@ -175,7 +228,7 @@ func FuzzEngineDifferential(f *testing.F) {
 		nextID := uint64(1)
 
 		for pc := 0; pc+1 < len(data) && pc < 400; pc += 2 {
-			op, param := data[pc]%8, data[pc+1]
+			op, param := data[pc]%9, data[pc+1]
 			switch op {
 			case 0: // schedule, delay 0..6 steps, chain depth 0..2
 				d := Duration(param%7) * oracleStep
@@ -213,6 +266,13 @@ func FuzzEngineDifferential(f *testing.F) {
 				nextID++
 				ev := rig.schedule(0, id, param%3)
 				handles = append(handles, handle{ev: ev, seq: model.schedule(0, id, param%3)})
+			case 8: // schedule a callback that fires 0..3 steps later in place
+				d := Duration(param%7) * oracleStep
+				skip := Duration(param/7%4) * oracleStep
+				id := nextID
+				nextID++
+				ev := rig.scheduleSkip(d, skip, id)
+				handles = append(handles, handle{ev: ev, seq: model.scheduleSkip(d, id, 0, skip)})
 			}
 			if eng.Pending() != len(model.evs) {
 				t.Fatalf("op %d (code %d): Pending() = %d, model has %d live events",

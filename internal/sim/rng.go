@@ -8,19 +8,26 @@ type Rand struct {
 	state uint64
 }
 
+// gamma is splitmix64's state increment: each draw adds it once.
+const gamma = 0x9E3779B97F4A7C15
+
 // NewRand returns a source seeded with seed.
 func NewRand(seed uint64) *Rand {
-	return &Rand{state: seed + 0x9E3779B97F4A7C15}
+	return &Rand{state: seed + gamma}
 }
 
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
-	r.state += 0x9E3779B97F4A7C15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
+
+// Skip discards the next n draws in O(1), leaving the source exactly where
+// n calls to Uint64 would.
+func (r *Rand) Skip(n uint64) { r.state += n * gamma }
 
 // Intn returns a uniform int in [0, n). n must be positive.
 func (r *Rand) Intn(n int) int {

@@ -183,3 +183,18 @@ func TestDurationDraw(t *testing.T) {
 		t.Error("Duration(0) should be 0")
 	}
 }
+
+// TestSkipMatchesDraws pins Skip(n) to n calls of Uint64, so code that skips
+// draws it does not need leaves every later draw unchanged.
+func TestSkipMatchesDraws(t *testing.T) {
+	for _, n := range []uint64{0, 1, 2, 31, 32, 1000} {
+		a, b := NewRand(5), NewRand(5)
+		for i := uint64(0); i < n; i++ {
+			a.Uint64()
+		}
+		b.Skip(n)
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("Skip(%d) leaves the source elsewhere than %d draws", n, n)
+		}
+	}
+}
