@@ -779,11 +779,8 @@ func (k *Kernel) execute(c *cpu) {
 		// Directives take effect at park time; being dispatched again means
 		// the wait is over. Resume the body for its next request.
 		k.advance(c)
-	case reqRun:
-		k.openSegment(c, segRun)
-		c.segEv = k.eng.AfterCall(k.wallFor(c, r.remaining), finishRunCall, t, uint64(c.id), r.epoch)
-	case reqTight:
-		k.openSegment(c, segTight)
+	case reqRun, reqTight:
+		k.openSegment(c, segFor(r.kind))
 		c.segEv = k.eng.AfterCall(k.wallFor(c, r.remaining), finishRunCall, t, uint64(c.id), r.epoch)
 	case reqSpin:
 		r.completing = false
@@ -812,16 +809,30 @@ func (k *Kernel) finishRun(c *cpu, t *Thread, epoch uint64) {
 	if c.curr != t || t.req.epoch != epoch {
 		return
 	}
+	k.completeRun(c, t)
+	k.advance(c)
+}
+
+// segFor gives the segment kind that serves a run or tight request.
+func segFor(kind reqKind) segKind {
+	if kind == reqTight {
+		return segTight
+	}
+	return segRun
+}
+
+// completeRun charges the finished run or tight request of the current
+// thread t.
+func (k *Kernel) completeRun(c *cpu, t *Thread) {
 	k.closeSegment(c)
 	t.req.remaining = 0
-	k.advance(c)
 }
 
 // runInPlace serves a run or tight request r of the current thread t without
 // parking, when the request's completion would be the engine's next event.
 // The body then continues at the completion instant with exactly the state
 // the queued path gives it: execute's openSegment at the start, finishRun's
-// closeSegment at the end. That holds only while nothing else is pending on
+// completeRun at the end. That holds only while nothing else is pending on
 // t's CPU (no open segment, no overhead, slice timer armed) and nothing in
 // the kernel waits to run after the body parks again (not under
 // SyncWindow); otherwise it reports false and the caller parks.
@@ -832,19 +843,13 @@ func (k *Kernel) runInPlace(t *Thread, r request) bool {
 	if k.syncing || c.curr != t || c.segKind != segNone || c.overhead > 0 || !c.slice.Active() {
 		return false
 	}
-	kind := segRun
-	if r.kind == reqTight {
-		kind = segTight
-	}
-	k.openSegment(c, kind)
+	k.openSegment(c, segFor(r.kind))
 	if !k.eng.SkipTo(c.segStart.Add(k.wallFor(c, r.remaining))) {
 		c.segKind = segNone
 		return false
 	}
-	r.epoch = t.req.epoch + 1
-	t.req = r
-	k.closeSegment(c)
-	t.req.remaining = 0
+	t.setRequest(r)
+	k.completeRun(c, t)
 	return true
 }
 

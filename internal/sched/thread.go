@@ -218,10 +218,16 @@ func (t *Thread) Lifetime() sim.Duration {
 //
 //simlint:hotpath
 func (t *Thread) park(r request) {
-	r.epoch = t.req.epoch + 1
-	t.req = r
+	t.setRequest(r)
 	t.k.applyDirective(t)
 	t.proc.Park()
+}
+
+// setRequest makes r the thread's current request under a fresh epoch, so
+// completion events scheduled for an earlier request see they are stale.
+func (t *Thread) setRequest(r request) {
+	r.epoch = t.req.epoch + 1
+	t.req = r
 }
 
 // Run consumes d of CPU time as ordinary computation. The kernel slices it
