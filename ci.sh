@@ -4,7 +4,8 @@
 # test also runs under -race), and a determinism smoke test proving that a
 # parallel experiment fleet is byte-identical to a serial one, and a
 # results oracle: every committed results/*.txt regenerates byte for byte.
-# The benchmark module's own tests pin its workload cells' golden digests.
+# One benchmark pass at the golden seed checks every workload cell's
+# output digest against benchmark/testdata/golden.json.
 set -eu
 
 cd "$(dirname "$0")"
@@ -118,18 +119,21 @@ echo "all policies oracle-clean on every feature cell; reps byte-identical acros
 
 echo "== metrics smoke: time-series determinism =="
 # Two identical-seed runs with the time-series sampler attached must
-# export byte-identical summaries: sampling is driven purely by sim time
+# export byte-identical series, as a summary and as the
+# oversub-metrics/v1 JSON document: sampling is driven purely by sim time
 # and the export is a pure function of the sample stream.
-"$detdir/hpdc21" run -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
-    -metrics "$detdir/metrics1.txt" -metrics-format summary >/dev/null
-"$detdir/hpdc21" run -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
-    -metrics "$detdir/metrics2.txt" -metrics-format summary >/dev/null
-if ! cmp -s "$detdir/metrics1.txt" "$detdir/metrics2.txt"; then
-    echo "metrics smoke FAILED: identical seeds produced different series" >&2
-    diff "$detdir/metrics1.txt" "$detdir/metrics2.txt" >&2 || true
-    exit 1
-fi
-echo "metrics summary byte-identical across identical seeds."
+for format in summary json; do
+    for n in 1 2; do
+        "$detdir/hpdc21" run -bench streamcluster -threads 16 -cores 4 -vb -scale 0.05 \
+            -metrics "$detdir/metrics$n.$format" -metrics-format "$format" >/dev/null
+    done
+    if ! cmp -s "$detdir/metrics1.$format" "$detdir/metrics2.$format"; then
+        echo "metrics smoke FAILED: identical seeds produced different $format series" >&2
+        diff "$detdir/metrics1.$format" "$detdir/metrics2.$format" >&2 || true
+        exit 1
+    fi
+done
+echo "metrics summary and JSON byte-identical across identical seeds."
 
 echo "== event-queue fuzz oracle: seed corpus =="
 # The differential heap oracle (internal/sim/heapfuzz_test.go) replays its
@@ -247,18 +251,33 @@ if ! grep -q '"schema": "oversub-diff/v1"' "$detdir/d-changed.json"; then
 fi
 echo "identical artifacts diff byte-empty; changes exit 1 with a schema-tagged report."
 
-echo "== benchmark module: vet + golden cell digests =="
-# benchmark/ is its own module (it runs the repo's workloads from outside);
-# its tests pin each workload cell's golden digest, so a change that
-# alters what a benchmark cell simulates fails here, not only in a
-# benchmark comparison. As in benchmark/run.sh, the go command works on a
-# private copy of benchmark/go.mod, which absorbs the update it needs when
-# the simulator's go line is newer than the benchmark's, so the tracked
-# file stays clean.
+echo "== benchmark module: vet + tests =="
+# benchmark/ is its own module (it runs the repo's workloads from outside).
+# Its tests run a -quick pass at seed 5, which exercises every workload
+# and the report but reads no golden digest. As in benchmark/run.sh, the
+# go command works on a private copy of benchmark/go.mod, which absorbs
+# the update it needs when the simulator's go line is newer than the
+# benchmark's, so the tracked file stays clean.
 cp benchmark/go.mod "$detdir/bench.mod"
 (cd benchmark &&
     go vet -mod=mod -modfile="$detdir/bench.mod" . &&
     go test -mod=mod -modfile="$detdir/bench.mod" -count=1 .)
 echo "benchmark module clean."
+
+echo "== benchmark golden digests: one pass at the golden seed =="
+# The golden digests in benchmark/testdata/golden.json are read only by a
+# full (not -quick) run at seed 1, so this step runs one: a change that
+# alters what any benchmark cell simulates or renders fails here, not
+# only in a benchmark comparison. Every workload must report no failed
+# cell and a golden match.
+bash benchmark/run.sh --seed 1 --passes 1 >"$detdir/bench.txt"
+workloads=$(grep -c '^[a-z]*: [0-9]* cells x ' "$detdir/bench.txt" || true)
+matched=$(grep -Ec '^[a-z]+: [0-9]+ cells x 1 passes, 0/[0-9]+ failed, golden match,' "$detdir/bench.txt" || true)
+if [ "$workloads" -ne 4 ] || [ "$matched" -ne 4 ]; then
+    echo "benchmark golden FAILED: want 4 workloads with 0 failed cells and a golden match" >&2
+    cat "$detdir/bench.txt" >&2
+    exit 1
+fi
+echo "all 4 benchmark workloads: 0 failed cells, golden match."
 
 echo "CI passed."

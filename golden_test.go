@@ -8,10 +8,12 @@ package oversub
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"testing"
 
 	"oversub/internal/cluster"
 	"oversub/internal/sched"
+	"oversub/internal/trace"
 	"oversub/internal/workload"
 )
 
@@ -186,8 +188,28 @@ func machinePathSummaries() []string {
 		grow.ExecTime, grow.Events, grow.Metrics.VolCS, grow.Metrics.InvolCS,
 		grow.Metrics.MigrationsInNode+grow.Metrics.MigrationsCrossNode, grow.Metrics.BWDDeschedules, smp.Len())
 
-	rings := make([]*TraceRing, 2)
-	res, err := cluster.Run(cluster.FleetConfig{
+	f := runGoldenFleet()
+	s8 := fmt.Sprintf("fleet cfs+shinjuku goodput=%.3f mean=%d p99=%d events=%d traced=%d/%d",
+		f.res.GoodputQPS, f.res.Mean, f.res.P99, f.res.Events, f.rings[0].Len(), f.rings[1].Len())
+	return []string{s1, s2, s3, s4, s5, s6, s7, s8}
+}
+
+// goldenFleet is the traced, sampled mixed-policy fleet of
+// TestGoldenMachinePaths, with its observers kept for rendering.
+type goldenFleet struct {
+	cfg      cluster.FleetConfig
+	res      *cluster.FleetResult
+	rings    []*TraceRing
+	samplers []*MetricsSampler
+}
+
+// runGoldenFleet runs the 2-machine cfs+shinjuku fleet. Machine 0 samples
+// at the default capacity; machine 1 at capacity 8, so its 1000 windows
+// downsample many times over. Samplers only observe, so the capacity
+// cannot change the run.
+func runGoldenFleet() goldenFleet {
+	f := goldenFleet{rings: make([]*TraceRing, 2), samplers: make([]*MetricsSampler, 2)}
+	f.cfg = cluster.FleetConfig{
 		Machines:        2,
 		Machine:         cluster.MachineConfig{Feat: Features{VB: true}, Detect: DetectBWD},
 		MachinePolicies: []string{"cfs", "shinjuku"},
@@ -195,17 +217,24 @@ func machinePathSummaries() []string {
 		Duration:        100 * Millisecond,
 		Seed:            7,
 		TracerFor: func(m int) sched.Tracer {
-			rings[m] = NewTraceRing(1 << 14)
-			return rings[m]
+			f.rings[m] = NewTraceRing(1 << 14)
+			return f.rings[m]
 		},
-		SamplerFor: func(int) sched.Sampler { return NewMetricsSampler(MetricsConfig{}) },
-	})
+		SamplerFor: func(m int) sched.Sampler {
+			var cfg MetricsConfig
+			if m == 1 {
+				cfg.Capacity = 8
+			}
+			f.samplers[m] = NewMetricsSampler(cfg)
+			return f.samplers[m]
+		},
+	}
+	res, err := cluster.Run(f.cfg)
 	if err != nil {
 		panic(err)
 	}
-	s8 := fmt.Sprintf("fleet cfs+shinjuku goodput=%.3f mean=%d p99=%d events=%d traced=%d/%d",
-		res.GoodputQPS, res.Mean, res.P99, res.Events, rings[0].Len(), rings[1].Len())
-	return []string{s1, s2, s3, s4, s5, s6, s7, s8}
+	f.res = res
+	return f
 }
 
 // TestGoldenMachinePaths pins every machine-construction entry point to
@@ -225,6 +254,56 @@ func TestGoldenMachinePaths(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("machine path %d diverged from its pin:\n got %q\nwant %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestGoldenObservationBytes pins what the observation renderers write
+// for the golden fleet: each machine's metrics series in every format
+// (machine 1's downsampled), each machine's blame table, and the fleet
+// blame table. Identical-seed tests only compare one build against
+// itself; these hashes hold a renderer rewrite to the bytes its
+// predecessor wrote.
+func TestGoldenObservationBytes(t *testing.T) {
+	want := []string{
+		"m0 json cd0eb0ab45fc6c6c",
+		"m0 csv 4a90dc6f9cdc4dfe",
+		"m0 summary e79231bacd31f1c4",
+		"m1 json 3133017d32b3c0ce",
+		"m1 csv 5ad9090402e1cf3b",
+		"m1 summary 27ce30bf6338f58f",
+		"m0 blame 61c8dc08a9609e7a",
+		"m1 blame 83a172c9a03ed5ce",
+		"fleet blame ee4efe98b7564134",
+	}
+	f := runGoldenFleet()
+	hash := func(write func(io.Writer) error) string {
+		h := fnv.New64a()
+		if err := write(h); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	var got []string
+	for m, s := range f.samplers {
+		for _, format := range []string{"json", "csv", "summary"} {
+			got = append(got, fmt.Sprintf("m%d %s %s", m, format,
+				hash(func(w io.Writer) error { return s.Write(w, format) })))
+		}
+	}
+	machines := trace.CollectMachines(f.rings)
+	names := f.cfg.TenantNames()
+	for _, m := range machines {
+		got = append(got, fmt.Sprintf("m%d blame %s", m.Machine, hash(func(w io.Writer) error {
+			return trace.WriteBlame(w, trace.ComputeBlame(m.Events), names, 0)
+		})))
+	}
+	got = append(got, "fleet blame "+hash(func(w io.Writer) error {
+		return trace.WriteFleetBlame(w, machines, names)
+	}))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("observation %d diverged from its pin:\n got %q\nwant %q", i, got[i], want[i])
 		}
 	}
 }

@@ -390,14 +390,14 @@ func CollectMachines(rings []*Ring) []MachineEvents {
 }
 
 // BlameRow aggregates completed requests of one (machine, tenant) pair:
-// one duration digest per component plus the total-latency digest. Rows
-// merge across machines (MergeBlameRows), mirroring the fleet latency
-// pipeline.
+// the summed latency of each component plus the total-latency digest,
+// which the percentiles read. Rows merge across machines (MergeBlameRows),
+// mirroring the fleet latency pipeline.
 type BlameRow struct {
 	Machine  int // -1 for fleet-merged rows
 	Tenant   int
 	Requests uint64
-	Comp     [NumComponents]stats.Digest
+	Comp     Breakdown
 	Total    stats.Digest
 }
 
@@ -409,32 +409,28 @@ func BlameRows(machine int, b *Blame) []BlameRow {
 		r := &b.Requests[i]
 		row := rowOf(out, r.Tenant)
 		row.Requests++
-		for c := Component(0); c < NumComponents; c++ {
-			row.Comp[c].Add(r.Comp[c])
-		}
+		row.Comp.Add(&r.Comp)
 		row.Total.Add(r.Latency())
 	}
 	return out
 }
 
 // MergeBlameRows folds per-machine rows into per-tenant fleet rows
-// (Machine = -1), merging every sub-digest pairwise.
+// (Machine = -1), adding the component sums and merging the digests.
 func MergeBlameRows(rows []BlameRow) []BlameRow {
 	out := tenantRows(-1, len(rows), func(i int) int { return rows[i].Tenant })
 	for i := range rows {
 		r := &rows[i]
 		m := rowOf(out, r.Tenant)
 		m.Requests += r.Requests
-		for c := range m.Comp {
-			m.Comp[c].Merge(&r.Comp[c])
-		}
+		m.Comp.Add(&r.Comp)
 		m.Total.Merge(&r.Total)
 	}
 	return out
 }
 
 // tenantRows returns one empty row per distinct tenantOf(0..n-1), in
-// tenant order. Rows are large (nine digests), so they are built in place
+// tenant order. Rows are large (a digest each), so they are built in place
 // rather than behind pointers and copied out.
 func tenantRows(machine, n int, tenantOf func(int) int) []BlameRow {
 	var tenants []int
@@ -542,7 +538,7 @@ func writeBlameRowLine(bw *errWriter, r *BlameRow, name string) {
 	for c := Component(0); c < NumComponents; c++ {
 		share := 0.0
 		if total > 0 {
-			share = 100 * float64(r.Comp[c].Sum()) / float64(total)
+			share = 100 * float64(r.Comp[c]) / float64(total)
 		}
 		bw.printf(" %8.1f%%", share)
 	}
