@@ -89,6 +89,8 @@ type Detector struct {
 	stopped bool
 	// timers holds one rearmable hrtimer per core, created on the first
 	// Start; every subsequent window reuses its core's timer and closure.
+	// They are bound to the engine's lane for the interval, so every window
+	// after the staggered first one skips the event heap.
 	timers []*sim.Timer
 }
 
@@ -111,9 +113,10 @@ func (d *Detector) Start() {
 	n := d.k.Topology().NumCPUs()
 	if d.timers == nil {
 		d.timers = make([]*sim.Timer, n)
+		lane := eng.Lane(d.cfg.Interval)
 		for cpu := 0; cpu < n; cpu++ {
 			cpu := cpu
-			d.timers[cpu] = eng.Timer(func() { d.tick(cpu) })
+			d.timers[cpu] = lane.Timer(func() { d.tick(cpu) })
 		}
 	}
 	for cpu := 0; cpu < n; cpu++ {

@@ -147,6 +147,12 @@ type Kernel struct {
 	syncing bool
 
 	kernProfile hw.ExecProfile
+	// spinExit is the engine's lane for SpinExitLatency (nil when the
+	// latency is zero): every spin completion is queued on it.
+	spinExit *sim.Lane
+	// spinSegs counts the CPUs with an open spin segment, so a Kick with
+	// no spinner returns without walking the CPUs.
+	spinSegs int
 
 	tracer Tracer
 
@@ -195,19 +201,23 @@ func (k *Kernel) SetSampler(s Sampler) {
 	k.sampler = s
 	if s != nil {
 		if k.samplerTm == nil {
-			k.samplerTm = k.eng.Timer(k.sampleTick)
+			k.samplerTm = k.eng.Lane(k.sampleInterval()).Timer(k.sampleTick)
 		}
 		k.armSample()
 	}
 }
 
+// sampleInterval is the installed sampler's tick period.
+func (k *Kernel) sampleInterval() sim.Duration {
+	if iv := k.sampler.SampleInterval(); iv > 0 {
+		return iv
+	}
+	return 100 * sim.Microsecond
+}
+
 // armSample rearms the sampler tick.
 func (k *Kernel) armSample() {
-	iv := k.sampler.SampleInterval()
-	if iv <= 0 {
-		iv = 100 * sim.Microsecond
-	}
-	k.samplerTm.Rearm(iv)
+	k.samplerTm.Rearm(k.sampleInterval())
 }
 
 func (k *Kernel) sampleTick() {
@@ -260,6 +270,13 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 		kernProfile: hw.ExecProfile{InstPerUS: 2000, InstPerL1Miss: 30, InstPerTLBMiss: 400, InstPerBranch: 5},
 	}
 	k.policy = newPolicy(cfg.Policy, k)
+	if l := cfg.Costs.SpinExitLatency; l > 0 {
+		k.spinExit = eng.Lane(l)
+	}
+	newBalanceTimer := eng.Timer
+	if iv := cfg.Costs.BalanceInterval; iv > 0 {
+		newBalanceTimer = eng.Lane(iv).Timer
+	}
 	k.cpus = make([]*cpu, total)
 	for i := range k.cpus {
 		c := &cpu{
@@ -271,9 +288,12 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 		}
 		c.lock = k.NewKLock(uint64(i))
 		// The two per-CPU periodic paths each own one rearmable timer (and
-		// its one closure) for the kernel's whole life.
+		// its one closure) for the kernel's whole life. The balance tick's
+		// period is a constant, so its timer rides the engine's lane for
+		// it; the slice timer, rearmed on every dispatch and stopped on
+		// every block, stays in the heap, which removes what it cancels.
 		c.slice = eng.Timer(func() { k.sliceExpire(c) })
-		c.balance = eng.Timer(func() { k.balanceTick(c) })
+		c.balance = newBalanceTimer(func() { k.balanceTick(c) })
 		k.cpus[i] = c
 	}
 	k.nAllowed = cfg.NCPUs
@@ -681,6 +701,9 @@ func (k *Kernel) openSegment(c *cpu, kind segKind) {
 	c.segStart = k.eng.Now()
 	c.segSpeed = k.speed(c)
 	c.segKind = kind
+	if kind == segSpin {
+		k.spinSegs++
+	}
 }
 
 // closeSegment charges the open segment to the current thread and the
@@ -740,6 +763,7 @@ func (k *Kernel) closeSegment(c *cpu) {
 		t.vruntime += t.scaleByWeight(cpuT)
 		c.core.AccountTightLoop(cpuT, tightBranchFor(t), t.req.loopIter)
 	case segSpin:
+		k.spinSegs--
 		t.CPUTime += cpuT
 		t.SpinTime += cpuT
 		t.vruntime += t.scaleByWeight(cpuT)
@@ -786,8 +810,7 @@ func (k *Kernel) execute(c *cpu) {
 		r.completing = false
 		k.openSegment(c, segSpin)
 		if r.cond() {
-			r.completing = true
-			c.segEv = k.eng.AfterCall(k.costs.SpinExitLatency, finishSpinCall, t, uint64(c.id), r.epoch)
+			k.armSpinExit(c, t)
 			return
 		}
 		if r.deadline > 0 {
@@ -828,7 +851,7 @@ func (k *Kernel) completeRun(c *cpu, t *Thread) {
 	t.req.remaining = 0
 }
 
-// runInPlace serves a run or tight request r of the current thread t without
+// runInPlace serves the run or tight request of the current thread t without
 // parking, when the request's completion would be the engine's next event.
 // The body then continues at the completion instant with exactly the state
 // the queued path gives it: execute's openSegment at the start, finishRun's
@@ -838,17 +861,16 @@ func (k *Kernel) completeRun(c *cpu, t *Thread) {
 // SyncWindow); otherwise it reports false and the caller parks.
 //
 //simlint:hotpath
-func (k *Kernel) runInPlace(t *Thread, r request) bool {
+func (k *Kernel) runInPlace(t *Thread) bool {
 	c := k.cpus[t.cpu]
 	if k.syncing || c.curr != t || c.segKind != segNone || c.overhead > 0 || !c.slice.Active() {
 		return false
 	}
-	k.openSegment(c, segFor(r.kind))
-	if !k.eng.SkipTo(c.segStart.Add(k.wallFor(c, r.remaining))) {
+	k.openSegment(c, segFor(t.req.kind))
+	if !k.eng.SkipTo(c.segStart.Add(k.wallFor(c, t.req.remaining))) {
 		c.segKind = segNone
 		return false
 	}
-	t.setRequest(r)
 	k.completeRun(c, t)
 	return true
 }
@@ -888,15 +910,30 @@ func (k *Kernel) finishSpinDeadline(c *cpu, t *Thread, epoch uint64) {
 //
 //simlint:hotpath
 func (k *Kernel) Kick() {
+	if k.spinSegs == 0 {
+		return
+	}
 	for _, c := range k.cpus {
 		t := c.curr
 		if t == nil || t.req.kind != reqSpin || t.req.completing || c.segKind != segSpin {
 			continue
 		}
 		if t.req.cond() {
-			t.req.completing = true
-			c.segEv = k.eng.AfterCall(k.costs.SpinExitLatency, finishSpinCall, t, uint64(c.id), t.req.epoch)
+			k.armSpinExit(c, t)
 		}
+	}
+}
+
+// armSpinExit schedules the completion of the current thread t's spin on
+// c, whose condition was just observed true, SpinExitLatency from now.
+//
+//simlint:hotpath
+func (k *Kernel) armSpinExit(c *cpu, t *Thread) {
+	t.req.completing = true
+	if k.spinExit != nil {
+		c.segEv = k.spinExit.AfterCall(finishSpinCall, t, uint64(c.id), t.req.epoch)
+	} else {
+		c.segEv = k.eng.AfterCall(k.costs.SpinExitLatency, finishSpinCall, t, uint64(c.id), t.req.epoch)
 	}
 }
 

@@ -213,21 +213,24 @@ func (t *Thread) Lifetime() sim.Duration {
 	return end.Sub(t.spawnTime)
 }
 
-// park hands the request to the kernel and suspends the body until the
-// request is complete.
+// park hands the current request to the kernel and suspends the body until
+// the request is complete.
 //
 //simlint:hotpath
-func (t *Thread) park(r request) {
-	t.setRequest(r)
+func (t *Thread) park() {
 	t.k.applyDirective(t)
 	t.proc.Park()
 }
 
-// setRequest makes r the thread's current request under a fresh epoch, so
-// completion events scheduled for an earlier request see they are stale.
-func (t *Thread) setRequest(r request) {
-	r.epoch = t.req.epoch + 1
-	t.req = r
+// newRequest makes a fresh request of the given kind the thread's current
+// one, under a new epoch so completion events scheduled for an earlier
+// request see they are stale, and returns it for the caller to fill in
+// place.
+//
+//simlint:hotpath
+func (t *Thread) newRequest(kind reqKind) *request {
+	t.req = request{kind: kind, epoch: t.req.epoch + 1}
+	return &t.req
 }
 
 // Run consumes d of CPU time as ordinary computation. The kernel slices it
@@ -237,16 +240,18 @@ func (t *Thread) Run(d sim.Duration) {
 	if d <= 0 {
 		return
 	}
-	t.compute(request{kind: reqRun, remaining: d})
+	t.newRequest(reqRun).remaining = d
+	t.compute()
 }
 
-// compute serves a run or tight request: in place when its completion is
-// the engine's next event, otherwise through the kernel's queued path.
+// compute serves the current run or tight request: in place when its
+// completion is the engine's next event, otherwise through the kernel's
+// queued path.
 //
 //simlint:hotpath
-func (t *Thread) compute(r request) {
-	if !t.k.runInPlace(t, r) {
-		t.park(r)
+func (t *Thread) compute() {
+	if !t.k.runInPlace(t) {
+		t.park()
 	}
 }
 
@@ -257,7 +262,9 @@ func (t *Thread) RunTight(d sim.Duration, iterNS float64) {
 	if d <= 0 {
 		return
 	}
-	t.compute(request{kind: reqTight, remaining: d, loopIter: iterNS})
+	r := t.newRequest(reqTight)
+	r.remaining, r.loopIter = d, iterNS
+	t.compute()
 }
 
 // SpinUntil busy-waits until cond() is true. cond must depend only on
@@ -268,7 +275,9 @@ func (t *Thread) SpinUntil(cond func() bool, sig hw.SpinSig) {
 	if cond() {
 		return
 	}
-	t.park(request{kind: reqSpin, cond: cond, sig: sig})
+	r := t.newRequest(reqSpin)
+	r.cond, r.sig = cond, sig
+	t.park()
 }
 
 // SpinUntilDeadline busy-waits until cond() holds or the deadline passes,
@@ -281,7 +290,9 @@ func (t *Thread) SpinUntilDeadline(cond func() bool, sig hw.SpinSig, deadline si
 	if t.k.eng.Now() >= deadline {
 		return false
 	}
-	t.park(request{kind: reqSpin, cond: cond, sig: sig, deadline: deadline})
+	r := t.newRequest(reqSpin)
+	r.cond, r.sig, r.deadline = cond, sig, deadline
+	t.park()
 	return cond()
 }
 
@@ -291,7 +302,9 @@ func (t *Thread) spinKernel(cond func() bool, sig hw.SpinSig) {
 	if cond() {
 		return
 	}
-	t.park(request{kind: reqSpin, cond: cond, sig: sig, kernSpin: true})
+	r := t.newRequest(reqSpin)
+	r.cond, r.sig, r.kernSpin = cond, sig, true
+	t.park()
 }
 
 // RunKernel consumes CPU inside a kernel critical section: the thread is
@@ -301,13 +314,16 @@ func (t *Thread) RunKernel(d sim.Duration) {
 	if d <= 0 {
 		return
 	}
-	t.compute(request{kind: reqRun, remaining: d, noPreempt: true})
+	r := t.newRequest(reqRun)
+	r.remaining, r.noPreempt = d, true
+	t.compute()
 }
 
 // Yield releases the CPU voluntarily; the thread stays runnable behind its
 // peers at the same vruntime.
 func (t *Thread) Yield() {
-	t.park(request{kind: reqYield})
+	t.newRequest(reqYield)
+	t.park()
 }
 
 // Sleep blocks the thread for d of virtual time.
@@ -315,7 +331,8 @@ func (t *Thread) Sleep(d sim.Duration) {
 	if d <= 0 {
 		return
 	}
-	t.park(request{kind: reqSleep, sleep: d})
+	t.newRequest(reqSleep).sleep = d
+	t.park()
 }
 
 // Block performs the vanilla sleep transition: the caller must already be
@@ -323,20 +340,23 @@ func (t *Thread) Sleep(d sim.Duration) {
 // (or a higher-level wrapper). The call returns when the thread is woken
 // and dispatched again.
 func (t *Thread) Block() {
-	t.park(request{kind: reqBlock})
+	t.newRequest(reqBlock)
+	t.park()
 }
 
 // BlockReason is Block with a reason tag (BlockFutex, BlockIO, ...) that
 // rides on the "block" trace event for blame attribution.
 func (t *Thread) BlockReason(reason int64) {
-	t.park(request{kind: reqBlock, blockArg: reason})
+	t.newRequest(reqBlock).blockArg = reason
+	t.park()
 }
 
 // VBlock performs virtual blocking: thread_state is set and the thread is
 // parked at the runqueue tail, never leaving the runqueue. The call returns
 // after Kernel.VWake clears the flag and the thread is dispatched.
 func (t *Thread) VBlock() {
-	t.park(request{kind: reqVBlock})
+	t.newRequest(reqVBlock)
+	t.park()
 }
 
 // String identifies the thread in diagnostics.

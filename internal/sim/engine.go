@@ -9,6 +9,8 @@ const (
 	idxFree int32 = -1
 	// idxFIFO marks a node queued on the zero-delay ring.
 	idxFIFO int32 = -2
+	// idxLane marks a node queued on a fixed-delay lane.
+	idxLane int32 = -3
 )
 
 // node is the engine-owned storage of one scheduled callback. Nodes are
@@ -33,8 +35,9 @@ type node struct {
 	a, b  uint64
 }
 
-// heapEnt is one binary-heap slot. The ordering key (at, seq) is stored
-// inline so sift comparisons never chase the node pointer.
+// heapEnt is one heap or lane slot. The ordering key (at, seq) is stored
+// inline so sift comparisons never chase the node pointer, and so a lane
+// tombstone keeps the key it was queued with after its node moves on.
 type heapEnt struct {
 	at  Time
 	seq uint64
@@ -82,7 +85,7 @@ func (ev Event) Cancel() {
 	if n.idx >= 0 {
 		e.heapRemove(int(n.idx))
 	} else {
-		n.idx = idxFree // the ring entry becomes a tombstone
+		n.idx = idxFree // the ring or lane entry becomes a tombstone
 	}
 	e.live--
 	if !n.owned {
@@ -120,6 +123,15 @@ type Engine struct {
 	// by (at, seq) to keep the total order exact.
 	fifo     []fifoEnt
 	fifoHead int
+	// lanes are the fixed-delay queues (see Lane), one per delay. lmAt and
+	// lmSeq cache the smallest front key over all lanes, tombstones
+	// included, and lm its lane (nil, with a key that sorts after every
+	// event, when every lane is empty): a pop from the heap or the ring
+	// pays one compare against it, and only a lane pop rescans the lanes.
+	lanes []*Lane
+	lm    *Lane
+	lmAt  Time
+	lmSeq uint64
 	// free is the node pool. Nodes are recycled as soon as they fire or are
 	// cancelled; generation counters on the handles make recycling safe.
 	free []*node
@@ -146,7 +158,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and the given RNG seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRand(seed)}
+	return &Engine{rng: NewRand(seed), lmAt: maxTime, lmSeq: maxSeq}
 }
 
 // Now returns the current virtual time.
@@ -274,7 +286,7 @@ func (e *Engine) SkipTo(t Time) bool {
 	if !e.running || e.stopped || (e.until > 0 && t > e.until) {
 		return false
 	}
-	if (len(e.heap) > 0 && e.heap[0].at <= t) || e.fifoFront() != nil {
+	if (len(e.heap) > 0 && e.heap[0].at <= t) || e.fifoFront() != nil || e.laneBefore(t, maxSeq) {
 		return false
 	}
 	e.seq++
@@ -306,7 +318,8 @@ func (e *Engine) Run(until Time) Time {
 		}
 		if until > 0 && n.at > until {
 			// Put it back; the horizon was reached first. The node keeps
-			// its (at, seq) key, so order is preserved across Run calls.
+			// its (at, seq) key, so order is preserved across Run calls
+			// (a lane node goes to the heap, which orders any key).
 			e.heapPush(n)
 			e.live++
 			e.now = until
@@ -384,7 +397,8 @@ func (e *Engine) fifoFront() *node {
 }
 
 // pop removes and returns the globally earliest live event by (at, seq),
-// merging the zero-delay ring with the heap; nil if the queue is empty.
+// merging the heap, the zero-delay ring and the lanes; nil if the queue is
+// empty.
 //
 //simlint:hotpath
 func (e *Engine) pop() *node {
@@ -392,13 +406,22 @@ func (e *Engine) pop() *node {
 	if len(e.heap) > 0 {
 		top := e.heap[0]
 		if f == nil || top.at < f.at || (top.at == f.at && top.seq < f.seq) {
+			if e.laneBefore(top.at, top.seq) {
+				return e.lanePop()
+			}
 			e.heapRemove(0)
 			e.live--
 			return top.n
 		}
 	}
 	if f == nil {
+		if e.laneBefore(maxTime, maxSeq) {
+			return e.lanePop()
+		}
 		return nil
+	}
+	if e.laneBefore(f.at, f.seq) {
+		return e.lanePop()
 	}
 	e.fifo[e.fifoHead] = fifoEnt{}
 	e.fifoHead++

@@ -6,6 +6,7 @@ package sim
 // recycled nodes must stay inert.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -93,6 +94,18 @@ func TestRearmZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("rearm-while-armed allocates %v per call, want 0", n)
 	}
+
+	// A lane-bound timer's rearm-after-fire queues on its lane (the
+	// periodic BWD window and balance tick).
+	lt := e.Lane(3 * Microsecond).Timer(nopFn)
+	lt.Rearm(3 * Microsecond)
+	e.Run(0) // warm the lane's ring
+	if n := testing.AllocsPerRun(100, func() {
+		lt.Rearm(3 * Microsecond)
+		e.Run(0)
+	}); n != 0 {
+		t.Errorf("lane rearm-after-fire allocates %v per cycle, want 0", n)
+	}
 }
 
 // TestFreeListZeroAlloc pins the pooled schedule/cancel and the
@@ -122,6 +135,104 @@ func TestFreeListZeroAlloc(t *testing.T) {
 		e.Run(0)
 	}); n != 0 {
 		t.Errorf("heap-path AfterCall schedule+fire allocates %v per cycle, want 0", n)
+	}
+
+	lane := e.Lane(30 * Nanosecond)
+	lane.AfterCall(countFire, arg, 1, 0)
+	e.Run(0) // warm the lane's ring
+	if n := testing.AllocsPerRun(100, func() {
+		lane.AfterCall(countFire, arg, 1, 0)
+		lane.AfterCall(countFire, arg, 1, 0).Cancel()
+		e.Run(0)
+	}); n != 0 {
+		t.Errorf("lane AfterCall schedule+fire and schedule+cancel allocate %v per cycle, want 0", n)
+	}
+}
+
+// TestLaneRingWrapsAndGrows fills a lane whose ring has wrapped past its
+// end until it grows, with a tombstone on each side of the wrap, and
+// checks that the live entries still fire in schedule order.
+func TestLaneRingWrapsAndGrows(t *testing.T) {
+	e := NewEngine(1)
+	lane := e.Lane(10)
+	var fired []uint64
+	log := func(_ any, a, _ uint64) { fired = append(fired, a) }
+	var evs []Event
+	for i := uint64(0); i < 6; i++ {
+		evs = append(evs, lane.AfterCall(log, nil, i, 0))
+	}
+	for i := 0; i < 4; i++ {
+		e.Step() // head moves to slot 4 of the initial 8
+	}
+	for i := uint64(6); i < 20; i++ {
+		evs = append(evs, lane.AfterCall(log, nil, i, 0))
+	}
+	evs[5].Cancel()  // before the wrap
+	evs[12].Cancel() // after it
+	e.Run(0)
+	var want []uint64
+	for i := uint64(0); i < 20; i++ {
+		if i != 5 && i != 12 {
+			want = append(want, i)
+		}
+	}
+	if fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	if e.Pending() != 0 || e.lm != nil || lane.n != 0 {
+		t.Fatalf("drained engine: Pending %d, cached lane %p, lane holds %d", e.Pending(), e.lm, lane.n)
+	}
+}
+
+// TestLaneTimerSkipsHeap pins the routing of lane-bound timers: a
+// staggered first arm goes to the heap, and every rearm by the lane's
+// delay after it queues on the lane, never in the heap, while the firing
+// order still merges with heap events by (at, seq).
+func TestLaneTimerSkipsHeap(t *testing.T) {
+	e := NewEngine(1)
+	const period = 100 * Microsecond
+	lane := e.Lane(period)
+	if e.Lane(period) != lane {
+		t.Fatal("Lane(d) made a second lane for the same delay")
+	}
+	var fired []int
+	tms := make([]*Timer, 3)
+	for i := range tms {
+		i := i
+		tms[i] = lane.Timer(func() {
+			fired = append(fired, i)
+			tms[i].Rearm(period)
+		})
+		tms[i].Rearm(period + Duration(i)*7*Microsecond)
+	}
+	if len(e.heap) != 2 || tms[0].n.idx != idxLane {
+		t.Fatalf("first arms: %d heap entries, timer 0 idx %d; want the 2 staggered arms in the heap and timer 0 on its lane",
+			len(e.heap), tms[0].n.idx)
+	}
+	// A heap event between the ticks must still fire in time order.
+	var heapAt Time
+	e.After(250*Microsecond, func() { heapAt = e.Now() })
+	for i := 0; i < 3; i++ {
+		e.Step() // the staggered first ticks, each rearming onto the lane
+	}
+	for e.Now() < Time(Millisecond) {
+		if !e.Step() {
+			t.Fatal("engine drained with periodic timers armed")
+		}
+		for i, tm := range tms {
+			if tm.n.idx != idxLane {
+				t.Fatalf("at %v timer %d has idx %d, want it on its lane", e.Now(), i, tm.n.idx)
+			}
+		}
+		if heapAt == 0 && len(e.heap) != 1 || heapAt != 0 && len(e.heap) != 0 {
+			t.Fatalf("at %v the heap holds %d entries; lane rearms must not enter it", e.Now(), len(e.heap))
+		}
+	}
+	if heapAt != Time(250*Microsecond) {
+		t.Fatalf("heap event fired at %v, want 250us", heapAt)
+	}
+	if want := []int{0, 1, 2, 0, 1, 2}; len(fired) < 6 || fmt.Sprint(fired[:6]) != fmt.Sprint(want) {
+		t.Fatalf("firing order %v, want it to start %v", fired, want)
 	}
 }
 

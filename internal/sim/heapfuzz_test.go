@@ -1,23 +1,29 @@
 package sim
 
 // Differential heap oracle: the engine's event queue (4-ary heap +
-// zero-delay FIFO ring + pooled nodes + rearmable timers) is checked
-// against a deliberately naive model — an unordered slice scanned for the
-// minimum (at, seq) on every pop. The fuzzer drives both through the same
-// op sequence (schedule, cancel, rearm, stop, bounded run, single step,
-// chained zero-delay callbacks) and requires identical firing order,
-// identical clocks, and an identical live-event count after every op. One
-// op schedules a callback that fires an event in place with SkipTo; the
+// zero-delay FIFO ring + fixed-delay lanes + pooled nodes + rearmable
+// timers) is checked against a deliberately naive model — an unordered
+// slice scanned for the minimum (at, seq) on every pop. The fuzzer drives
+// both through the same op sequence (schedule, cancel, rearm, stop, bounded
+// run, single step, chained zero-delay callbacks, lane schedules, lane-bound
+// timer rearms and stops) and requires identical firing order, identical
+// clocks, and an identical live-event count after every op. The model knows
+// nothing of lanes: a lane event is an event at now plus the lane's delay.
+// One op schedules a callback that fires an event in place with SkipTo; the
 // model accepts it only when the new (t, seq) would be its next pop inside
 // the running horizon, and logs the in-place firing. Any
 // divergence — a tombstone popped, a sift bug, a generation check missed,
-// a live-counter drift — fails immediately with the op index.
+// a lane front not merged, a live-counter drift — fails immediately with
+// the op index.
 
 import "testing"
 
 const (
 	oracleStep   = Microsecond
 	oracleTimers = 2
+	// oracleLanes lanes, of delays 2 and 3 steps, each with one bound timer
+	// (model timer oracleTimers+i).
+	oracleLanes = 2
 	// timerID namespaces timer firings away from plain-event ids in the log.
 	oracleTimerID = 1 << 32
 	// skipID namespaces in-place firings the same way.
@@ -166,6 +172,11 @@ func chainDelay(id uint64) Duration {
 	return Duration(id%3) * oracleStep
 }
 
+// oracleLaneDelay is lane i's delay.
+func oracleLaneDelay(i int) Duration {
+	return Duration(2+i) * oracleStep
+}
+
 // oracleRig is the engine-side mirror of the oracle's chain rule.
 type oracleRig struct {
 	eng *Engine
@@ -179,6 +190,16 @@ func (r *oracleRig) schedule(d Duration, id uint64, chain uint8) Event {
 			r.schedule(chainDelay(id), id*7+1, chain-1)
 		}
 	})
+}
+
+// laneFire is the callback of a lane-queued event: arg is the rig, and the
+// event carries its id and chain depth inline.
+func laneFire(arg any, id, chain uint64) {
+	r := arg.(*oracleRig)
+	r.log = append(r.log, oracleFire{id: id, at: r.eng.Now()})
+	if chain > 0 {
+		r.schedule(chainDelay(id), id*7+1, uint8(chain-1))
+	}
 }
 
 // scheduleSkip schedules a callback that, once fired, tries to fire an
@@ -206,18 +227,32 @@ func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{0x00, 0x03, 0x08, 0x0f, 0x06, 0x00})
 	f.Add([]byte{0x08, 0x15, 0x04, 0x01, 0x06, 0x00})
 	f.Add([]byte{0x08, 0x08, 0x05, 0x00, 0x06, 0x00})
+	// The lane seeds are committed under testdata/fuzz, one file per case:
+	// a lane front beats a later heap top; a lane entry at now beats a ring
+	// entry queued after it; SkipTo refuses with a lane front at its target;
+	// a horizon puts a lane event back; cancels of a lane's front and of a
+	// middle entry; a bound timer staggered into the heap, moved onto its
+	// lane, rearmed there while armed, stopped, and moved between ring and
+	// lane.
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := NewEngine(1)
 		rig := &oracleRig{eng: eng}
 		model := &oracle{}
 
-		tms := make([]*Timer, oracleTimers)
+		tms := make([]*Timer, oracleTimers+oracleLanes)
+		lanes := make([]*Lane, oracleLanes)
 		for i := range tms {
 			i := i
-			tms[i] = eng.Timer(func() {
+			fn := func() {
 				rig.log = append(rig.log, oracleFire{id: oracleTimerID + uint64(i), at: eng.Now()})
-			})
+			}
+			if i < oracleTimers {
+				tms[i] = eng.Timer(fn)
+				continue
+			}
+			lanes[i-oracleTimers] = eng.Lane(oracleLaneDelay(i - oracleTimers))
+			tms[i] = lanes[i-oracleTimers].Timer(fn)
 		}
 
 		type handle struct {
@@ -228,7 +263,9 @@ func FuzzEngineDifferential(f *testing.F) {
 		nextID := uint64(1)
 
 		for pc := 0; pc+1 < len(data) && pc < 400; pc += 2 {
-			op, param := data[pc]%9, data[pc+1]
+			// Ops 0-8 predate the lanes; the committed corpus keeps its op
+			// bytes below 9 so each input decodes as it always has.
+			op, param := data[pc]%12, data[pc+1]
 			switch op {
 			case 0: // schedule, delay 0..6 steps, chain depth 0..2
 				d := Duration(param%7) * oracleStep
@@ -273,6 +310,25 @@ func FuzzEngineDifferential(f *testing.F) {
 				nextID++
 				ev := rig.scheduleSkip(d, skip, id)
 				handles = append(handles, handle{ev: ev, seq: model.scheduleSkip(d, id, 0, skip)})
+			case 9: // lane schedule on lane param%2, chain 0..2
+				i := int(param) % oracleLanes
+				chain := param / 2 % 3
+				id := nextID
+				nextID++
+				ev := lanes[i].AfterCall(laneFire, rig, id, uint64(chain))
+				handles = append(handles, handle{ev: ev, seq: model.schedule(oracleLaneDelay(i), id, chain)})
+			case 10: // rearm a lane-bound timer: by its lane's delay, or by 0..4 steps
+				i := int(param) % oracleLanes
+				d := oracleLaneDelay(i)
+				if param/2%2 == 1 {
+					d = Duration(param%5) * oracleStep
+				}
+				tms[oracleTimers+i].Rearm(d)
+				model.rearm(oracleTimers+i, d)
+			case 11: // stop a lane-bound timer
+				i := int(param) % oracleLanes
+				tms[oracleTimers+i].Stop()
+				model.stopTimer(oracleTimers + i)
 			}
 			if eng.Pending() != len(model.evs) {
 				t.Fatalf("op %d (code %d): Pending() = %d, model has %d live events",

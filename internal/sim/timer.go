@@ -17,6 +17,8 @@ import "fmt"
 type Timer struct {
 	eng *Engine
 	n   *node
+	// lane, if set, queues every rearm by exactly its delay (Lane.Timer).
+	lane *Lane
 }
 
 // Timer returns a new, unarmed timer that runs fn each time it fires.
@@ -29,6 +31,10 @@ func (e *Engine) Timer(fn func()) *Timer {
 //
 //simlint:hotpath
 func (tm *Timer) Rearm(d Duration) {
+	if l := tm.lane; l != nil && d == l.d {
+		tm.rearmLane(l)
+		return
+	}
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
@@ -55,7 +61,7 @@ func (tm *Timer) rearmAt(t Time) {
 		e.siftFix(i)
 		return
 	}
-	armed := n.idx == idxFIFO // the seq bump tombstones the old ring entry
+	armed := n.idx != idxFree // the seq bump tombstones the old ring or lane entry
 	n.at, n.seq = t, e.seq
 	if t == e.now {
 		n.idx = idxFIFO
@@ -63,6 +69,23 @@ func (tm *Timer) rearmAt(t Time) {
 	} else {
 		e.heapPush(n)
 	}
+	if !armed {
+		e.live++
+	}
+}
+
+// rearmLane schedules — or, if armed, reschedules — the timer on its lane.
+//
+//simlint:hotpath
+func (tm *Timer) rearmLane(l *Lane) {
+	e, n := tm.eng, tm.n
+	armed := n.idx != idxFree
+	// A heap slot is removed; the seq bump tombstones a ring or lane entry.
+	if n.idx >= 0 {
+		e.heapRemove(int(n.idx))
+	}
+	e.seq++
+	l.push(n, e.seq)
 	if !armed {
 		e.live++
 	}
