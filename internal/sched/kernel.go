@@ -147,12 +147,9 @@ type Kernel struct {
 	syncing bool
 
 	kernProfile hw.ExecProfile
-	// spinExit is the engine's lane for SpinExitLatency (nil when the
-	// latency is zero): every spin completion is queued on it.
+	// spinExit is the engine's lane for SpinExitLatency: every spin
+	// completion is queued on it.
 	spinExit *sim.Lane
-	// spinSegs counts the CPUs with an open spin segment, so a Kick with
-	// no spinner returns without walking the CPUs.
-	spinSegs int
 
 	tracer Tracer
 
@@ -270,13 +267,7 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 		kernProfile: hw.ExecProfile{InstPerUS: 2000, InstPerL1Miss: 30, InstPerTLBMiss: 400, InstPerBranch: 5},
 	}
 	k.policy = newPolicy(cfg.Policy, k)
-	if l := cfg.Costs.SpinExitLatency; l > 0 {
-		k.spinExit = eng.Lane(l)
-	}
-	newBalanceTimer := eng.Timer
-	if iv := cfg.Costs.BalanceInterval; iv > 0 {
-		newBalanceTimer = eng.Lane(iv).Timer
-	}
+	k.spinExit = eng.Lane(cfg.Costs.SpinExitLatency)
 	k.cpus = make([]*cpu, total)
 	for i := range k.cpus {
 		c := &cpu{
@@ -288,12 +279,9 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 		}
 		c.lock = k.NewKLock(uint64(i))
 		// The two per-CPU periodic paths each own one rearmable timer (and
-		// its one closure) for the kernel's whole life. The balance tick's
-		// period is a constant, so its timer rides the engine's lane for
-		// it; the slice timer, rearmed on every dispatch and stopped on
-		// every block, stays in the heap, which removes what it cancels.
+		// its one closure) for the kernel's whole life.
 		c.slice = eng.Timer(func() { k.sliceExpire(c) })
-		c.balance = newBalanceTimer(func() { k.balanceTick(c) })
+		c.balance = eng.Timer(func() { k.balanceTick(c) })
 		k.cpus[i] = c
 	}
 	k.nAllowed = cfg.NCPUs
@@ -701,9 +689,6 @@ func (k *Kernel) openSegment(c *cpu, kind segKind) {
 	c.segStart = k.eng.Now()
 	c.segSpeed = k.speed(c)
 	c.segKind = kind
-	if kind == segSpin {
-		k.spinSegs++
-	}
 }
 
 // closeSegment charges the open segment to the current thread and the
@@ -763,7 +748,6 @@ func (k *Kernel) closeSegment(c *cpu) {
 		t.vruntime += t.scaleByWeight(cpuT)
 		c.core.AccountTightLoop(cpuT, tightBranchFor(t), t.req.loopIter)
 	case segSpin:
-		k.spinSegs--
 		t.CPUTime += cpuT
 		t.SpinTime += cpuT
 		t.vruntime += t.scaleByWeight(cpuT)
@@ -910,9 +894,6 @@ func (k *Kernel) finishSpinDeadline(c *cpu, t *Thread, epoch uint64) {
 //
 //simlint:hotpath
 func (k *Kernel) Kick() {
-	if k.spinSegs == 0 {
-		return
-	}
 	for _, c := range k.cpus {
 		t := c.curr
 		if t == nil || t.req.kind != reqSpin || t.req.completing || c.segKind != segSpin {
@@ -930,11 +911,7 @@ func (k *Kernel) Kick() {
 //simlint:hotpath
 func (k *Kernel) armSpinExit(c *cpu, t *Thread) {
 	t.req.completing = true
-	if k.spinExit != nil {
-		c.segEv = k.spinExit.AfterCall(finishSpinCall, t, uint64(c.id), t.req.epoch)
-	} else {
-		c.segEv = k.eng.AfterCall(k.costs.SpinExitLatency, finishSpinCall, t, uint64(c.id), t.req.epoch)
-	}
+	c.segEv = k.spinExit.AfterCall(finishSpinCall, t, uint64(c.id), t.req.epoch)
 }
 
 // advance resumes the thread body to obtain its next request, then serves

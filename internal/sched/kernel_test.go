@@ -228,53 +228,9 @@ func TestSpinUntilCompletesOnKick(t *testing.T) {
 	}
 }
 
-// TestSpinSegsCountsOpenSpins pins the counter that lets Kick return at
-// once when nothing spins: at every instant it equals the number of CPUs
-// with an open spin segment, and it is zero once the run drains.
-func TestSpinSegsCountsOpenSpins(t *testing.T) {
-	eng, k := testKernel(t, 2, Features{})
-	flag := k.NewWord(0)
-	sig := hw.NewSpinSig(0x1800, 4, false)
-	for i := 0; i < 3; i++ {
-		k.Spawn("spinner", func(t *Thread) {
-			t.SpinUntil(func() bool { return flag.Load() == 1 }, sig)
-			t.Run(100 * sim.Microsecond)
-		})
-	}
-	k.Spawn("setter", func(t *Thread) {
-		t.Run(3 * sim.Millisecond)
-		flag.Store(1)
-	})
-	var checks, spinning int
-	var check func()
-	check = func() {
-		open := 0
-		for _, c := range k.cpus {
-			if c.segKind == segSpin {
-				open++
-			}
-		}
-		if open != k.spinSegs {
-			t.Fatalf("at %v: %d open spin segments, spinSegs = %d", k.Now(), open, k.spinSegs)
-		}
-		checks++
-		spinning += open
-		if k.Live() > 0 {
-			eng.After(10*sim.Microsecond, check)
-		}
-	}
-	eng.After(0, check)
-	mustComplete(t, k, 0)
-	if spinning == 0 {
-		t.Fatalf("no spin segment was open at any of %d checks", checks)
-	}
-	if k.spinSegs != 0 {
-		t.Fatalf("spinSegs = %d after the run drained", k.spinSegs)
-	}
-}
-
-// TestZeroSpinExitLatency covers a cost set without a spin-exit lane: a
-// spin whose condition turns true completes in the same instant.
+// TestZeroSpinExitLatency covers a spin-exit lane of delay 0, the engine's
+// zero lane: a spin whose condition turns true completes in the same
+// instant.
 func TestZeroSpinExitLatency(t *testing.T) {
 	eng := sim.NewEngine(1)
 	costs := DefaultCosts()

@@ -7,10 +7,8 @@ const (
 	// idxFree marks a node that is not queued: fired, cancelled, pooled, or
 	// a Timer at rest.
 	idxFree int32 = -1
-	// idxFIFO marks a node queued on the zero-delay ring.
-	idxFIFO int32 = -2
 	// idxLane marks a node queued on a fixed-delay lane.
-	idxLane int32 = -3
+	idxLane int32 = -2
 )
 
 // node is the engine-owned storage of one scheduled callback. Nodes are
@@ -42,15 +40,6 @@ type heapEnt struct {
 	at  Time
 	seq uint64
 	n   *node
-}
-
-// fifoEnt is one zero-delay ring slot. seq doubles as the validity check: a
-// node that was cancelled, fired, or rearmed no longer carries this seq (or
-// no longer sits on the ring), turning the stale entry into a tombstone that
-// the pop path skips.
-type fifoEnt struct {
-	n   *node
-	seq uint64
 }
 
 // Event is a cancellable handle to a scheduled callback. It is a small
@@ -85,7 +74,7 @@ func (ev Event) Cancel() {
 	if n.idx >= 0 {
 		e.heapRemove(int(n.idx))
 	} else {
-		n.idx = idxFree // the ring or lane entry becomes a tombstone
+		n.idx = idxFree // the lane entry becomes a tombstone
 	}
 	e.live--
 	if !n.owned {
@@ -115,19 +104,15 @@ type Engine struct {
 	// half the levels of a binary heap and sibling keys on one cache line,
 	// which is where pop-heavy simulation loops spend their compares.
 	heap []heapEnt
-	// fifo is the zero-delay fast path: events scheduled for the current
-	// instant (at == now) land here in seq order, skipping the heap
-	// entirely. Because seq grows monotonically and the clock only advances
-	// by firing the globally earliest event, valid ring entries are always
-	// consumed before the clock moves — the pop path merges ring and heap
-	// by (at, seq) to keep the total order exact.
-	fifo     []fifoEnt
-	fifoHead int
-	// lanes are the fixed-delay queues (see Lane), one per delay. lmAt and
-	// lmSeq cache the smallest front key over all lanes, tombstones
-	// included, and lm its lane (nil, with a key that sorts after every
-	// event, when every lane is empty): a pop from the heap or the ring
-	// pays one compare against it, and only a lane pop rescans the lanes.
+	// zero is the d = 0 lane: every event scheduled for the current instant
+	// (at == now) lands there in seq order, skipping the heap.
+	zero *Lane
+	// lanes are the fixed-delay queues (see Lane), one per delay, zero
+	// first. lmAt and lmSeq cache the smallest front key over all lanes,
+	// tombstones included, and lm its lane (nil, with a key that sorts
+	// after every event, when every lane is empty): a heap pop pays one
+	// compare against it, and a pop that meets a tombstone at the cached
+	// front, or pops a lane entry, rescans the lane fronts.
 	lanes []*Lane
 	lm    *Lane
 	lmAt  Time
@@ -158,7 +143,9 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and the given RNG seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRand(seed), lmAt: maxTime, lmSeq: maxSeq}
+	e := &Engine{rng: NewRand(seed), lmAt: maxTime, lmSeq: maxSeq}
+	e.zero = e.Lane(0)
+	return e
 }
 
 // Now returns the current virtual time.
@@ -200,16 +187,15 @@ func (e *Engine) recycle(n *node) {
 }
 
 // enqueue stamps n with the next sequence number and queues it for time t
-// (heap, or the zero-delay ring when t == now).
+// (heap, or the zero lane when t == now).
 //
 //simlint:hotpath
 func (e *Engine) enqueue(n *node, t Time) Event {
 	e.seq++
-	n.at, n.seq = t, e.seq
 	if t == e.now {
-		n.idx = idxFIFO
-		e.fifo = append(e.fifo, fifoEnt{n: n, seq: n.seq})
+		e.zero.push(n, e.seq)
 	} else {
+		n.at, n.seq = t, e.seq
 		e.heapPush(n)
 	}
 	e.live++
@@ -286,7 +272,7 @@ func (e *Engine) SkipTo(t Time) bool {
 	if !e.running || e.stopped || (e.until > 0 && t > e.until) {
 		return false
 	}
-	if (len(e.heap) > 0 && e.heap[0].at <= t) || e.fifoFront() != nil || e.laneBefore(t, maxSeq) {
+	if (len(e.heap) > 0 && e.heap[0].at <= t) || e.laneBefore(t, maxSeq) {
 		return false
 	}
 	e.seq++
@@ -377,57 +363,23 @@ func (e *Engine) fire(n *node) {
 	fn()
 }
 
-// fifoFront returns the earliest valid node on the zero-delay ring without
-// consuming it, dropping tombstones. When the ring drains it is reset so
-// its backing array is reused.
-//
-//simlint:hotpath
-func (e *Engine) fifoFront() *node {
-	for e.fifoHead < len(e.fifo) {
-		ent := e.fifo[e.fifoHead]
-		if ent.n.idx == idxFIFO && ent.n.seq == ent.seq {
-			return ent.n
-		}
-		e.fifo[e.fifoHead] = fifoEnt{}
-		e.fifoHead++
-	}
-	e.fifo = e.fifo[:0]
-	e.fifoHead = 0
-	return nil
-}
-
 // pop removes and returns the globally earliest live event by (at, seq),
-// merging the heap, the zero-delay ring and the lanes; nil if the queue is
+// merging the heap top with the lanes' cached minimum; nil if the queue is
 // empty.
 //
 //simlint:hotpath
 func (e *Engine) pop() *node {
-	f := e.fifoFront()
 	if len(e.heap) > 0 {
 		top := e.heap[0]
-		if f == nil || top.at < f.at || (top.at == f.at && top.seq < f.seq) {
-			if e.laneBefore(top.at, top.seq) {
-				return e.lanePop()
-			}
+		if !e.laneBefore(top.at, top.seq) {
 			e.heapRemove(0)
 			e.live--
 			return top.n
 		}
-	}
-	if f == nil {
-		if e.laneBefore(maxTime, maxSeq) {
-			return e.lanePop()
-		}
+	} else if !e.laneBefore(maxTime, maxSeq) {
 		return nil
 	}
-	if e.laneBefore(f.at, f.seq) {
-		return e.lanePop()
-	}
-	e.fifo[e.fifoHead] = fifoEnt{}
-	e.fifoHead++
-	f.idx = idxFree
-	e.live--
-	return f
+	return e.lanePop()
 }
 
 // heapPush inserts n into the heap using its (at, seq) key.

@@ -123,7 +123,7 @@ func TestFreeListZeroAlloc(t *testing.T) {
 
 	arg := new(int)
 	e.AfterCall(0, countFire, arg, 1, 0)
-	e.Run(0) // warm the FIFO ring
+	e.Run(0) // warm the zero lane
 	if n := testing.AllocsPerRun(100, func() {
 		e.AfterCall(0, countFire, arg, 1, 0)
 		e.Run(0)

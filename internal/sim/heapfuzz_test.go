@@ -1,8 +1,8 @@
 package sim
 
 // Differential heap oracle: the engine's event queue (4-ary heap +
-// zero-delay FIFO ring + fixed-delay lanes + pooled nodes + rearmable
-// timers) is checked against a deliberately naive model — an unordered
+// fixed-delay lanes, the zero-delay lane included + pooled nodes +
+// rearmable timers) is checked against a deliberately naive model — an unordered
 // slice scanned for the minimum (at, seq) on every pop. The fuzzer drives
 // both through the same op sequence (schedule, cancel, rearm, stop, bounded
 // run, single step, chained zero-delay callbacks, lane schedules, lane-bound
@@ -167,7 +167,7 @@ func (o *oracle) step() {
 
 // chainDelay is the shared rule both sides use for the child an event with
 // chain > 0 schedules when it fires. id%3 == 0 yields a zero delay, which
-// lands the child on the engine's FIFO ring mid-run.
+// lands the child on the engine's zero lane mid-run.
 func chainDelay(id uint64) Duration {
 	return Duration(id%3) * oracleStep
 }
@@ -228,12 +228,12 @@ func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{0x08, 0x15, 0x04, 0x01, 0x06, 0x00})
 	f.Add([]byte{0x08, 0x08, 0x05, 0x00, 0x06, 0x00})
 	// The lane seeds are committed under testdata/fuzz, one file per case:
-	// a lane front beats a later heap top; a lane entry at now beats a ring
-	// entry queued after it; SkipTo refuses with a lane front at its target;
+	// a lane front beats a later heap top; a lane entry at now beats a
+	// zero-lane entry queued after it; SkipTo refuses with a lane front at its target;
 	// a horizon puts a lane event back; cancels of a lane's front and of a
 	// middle entry; a bound timer staggered into the heap, moved onto its
-	// lane, rearmed there while armed, stopped, and moved between ring and
-	// lane.
+	// lane, rearmed there while armed, stopped, and moved between the zero
+	// lane and its own.
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := NewEngine(1)
@@ -298,7 +298,7 @@ func FuzzEngineDifferential(f *testing.F) {
 			case 6: // drain
 				eng.Run(0)
 				model.run(0)
-			case 7: // zero-delay schedule (FIFO-ring pressure), chain 0..2
+			case 7: // zero-delay schedule (zero-lane pressure), chain 0..2
 				id := nextID
 				nextID++
 				ev := rig.schedule(0, id, param%3)

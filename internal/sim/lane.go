@@ -9,20 +9,21 @@ const (
 	maxSeq  = ^uint64(0)
 )
 
-// Lane is a FIFO of events that all share one constant delay d > 0. Every
+// Lane is a FIFO of events that all share one constant delay d >= 0. Every
 // entry is keyed (now+d, seq) when it is queued; the clock never goes
 // backwards and seq only grows, so each append is already in (at, seq)
 // order and the lane's front is its minimum. Push and pop are O(1), and
-// the engine merges the lane fronts with the heap top and the zero-delay
-// ring front, so moving a call site onto a lane never changes the firing
-// order. A cancelled entry, or the stale entry a rearm leaves behind,
-// stays queued as a tombstone that the pop path skips, exactly as on the
-// zero-delay ring (which is in effect the d = 0 lane).
+// the engine merges the lane fronts with the heap top, so moving a call
+// site onto a lane never changes the firing order. A cancelled entry, or
+// the stale entry a rearm leaves behind, stays queued as a tombstone that
+// the pop path skips: the node no longer carries the entry's seq, or no
+// longer sits on a lane. Every event scheduled for the current instant
+// goes to the engine's d = 0 lane.
 //
-// Lanes suit only events whose delay is a configuration constant and that
-// almost always fire (periodic ticks, fixed latencies): a path that cancels
-// or rearms most of what it queues fills its lane with tombstones, where
-// the heap would remove them.
+// Besides the zero lane, lanes suit only events whose delay is a
+// configuration constant and that almost always fire (periodic ticks,
+// fixed latencies): a path that cancels or rearms most of what it queues
+// fills its lane with tombstones, where the heap would remove them.
 type Lane struct {
 	eng *Engine
 	d   Duration
@@ -34,11 +35,10 @@ type Lane struct {
 }
 
 // Lane returns the engine's lane for delay d, creating it on first use.
-// Callers look their lane up once and keep the handle. Non-positive d
-// panics.
+// Callers look their lane up once and keep the handle. Negative d panics.
 func (e *Engine) Lane(d Duration) *Lane {
-	if d <= 0 {
-		panic(fmt.Sprintf("sim: lane delay must be positive, got %d", d))
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
 	for _, l := range e.lanes {
 		if l.d == d {
@@ -66,8 +66,7 @@ func (l *Lane) AfterCall(fn func(arg any, a, b uint64), arg any, a, b uint64) Ev
 
 // Timer returns a new, unarmed timer that runs fn each time it fires.
 // Rearming it by exactly the lane's delay queues it on the lane; any other
-// delay (a staggered first arm, say) goes to the heap or the ring as for
-// Engine.Timer.
+// delay (a staggered first arm, say) is queued as for Engine.Timer.
 func (l *Lane) Timer(fn func()) *Timer {
 	tm := l.eng.Timer(fn)
 	tm.lane = l

@@ -61,12 +61,11 @@ func (tm *Timer) rearmAt(t Time) {
 		e.siftFix(i)
 		return
 	}
-	armed := n.idx != idxFree // the seq bump tombstones the old ring or lane entry
-	n.at, n.seq = t, e.seq
+	armed := n.idx != idxFree // the seq bump tombstones the old lane entry
 	if t == e.now {
-		n.idx = idxFIFO
-		e.fifo = append(e.fifo, fifoEnt{n: n, seq: n.seq})
+		e.zero.push(n, e.seq)
 	} else {
+		n.at, n.seq = t, e.seq
 		e.heapPush(n)
 	}
 	if !armed {
@@ -80,7 +79,7 @@ func (tm *Timer) rearmAt(t Time) {
 func (tm *Timer) rearmLane(l *Lane) {
 	e, n := tm.eng, tm.n
 	armed := n.idx != idxFree
-	// A heap slot is removed; the seq bump tombstones a ring or lane entry.
+	// A heap slot is removed; the seq bump tombstones a lane entry.
 	if n.idx >= 0 {
 		e.heapRemove(int(n.idx))
 	}
