@@ -27,11 +27,10 @@ trap 'rm -rf "$detdir"' EXIT
 echo "== simlint =="
 # The determinism contract, machine-checked: no wall-clock reads, global
 # math/rand, map iteration, multi-case selects, or goroutines in the
-# simulated kernel; no time-domain mixing, mixed atomics, or unthreaded
-# engine seeds; no package state shared across concurrent engines, tainted RNG seeds,
-# allocations on //simlint:hotpath functions, inexhaustive enum switches,
-# or inline schema tags. See DESIGN.md "Determinism rules" and "Analyzer
-# architecture". The tree must be clean with every pass enabled.
+# simulated kernel; no time-domain mixing or sync/atomic function calls;
+# no package state shared across concurrent engines, inexhaustive enum
+# switches, or inline schema tags. See DESIGN.md "Determinism rules" and
+# "Analyzer architecture". The tree must be clean with every pass enabled.
 go build -o "$detdir/simlint" ./cmd/simlint
 "$detdir/simlint" ./...
 echo "clean."
@@ -137,9 +136,10 @@ echo "metrics summary and JSON byte-identical across identical seeds."
 
 echo "== event-queue fuzz oracle: seed corpus =="
 # The differential heap oracle (internal/sim/heapfuzz_test.go) replays its
-# checked-in seed corpus: the engine's pooled 4-ary-heap/FIFO-ring queue
-# must fire byte-identically to a naive sorted-slice model on every
-# schedule/cancel/rearm/run interleaving. (Open-ended fuzzing is a local
+# checked-in seed corpus: the engine's pooled 4-ary heap and its
+# fixed-delay lanes (the d = 0 lane included) must fire byte-identically
+# to a naive sorted-slice model on every schedule/cancel/rearm/run
+# interleaving. (Open-ended fuzzing is a local
 # tool: go test ./internal/sim -fuzz FuzzEngineDifferential.)
 go test ./internal/sim -run FuzzEngineDifferential -count=1 >/dev/null
 echo "fuzz seed corpus clean."
@@ -147,11 +147,13 @@ echo "fuzz seed corpus clean."
 echo "== alloc gate: steady state is allocation-free =="
 # The AllocsPerRun pins must hold (pooled schedule/cancel, closure-free
 # schedule/fire, both rearm shapes, the proc Switch/Park round trip, a Run
-# completed in place without either), and the end-to-end kernel sleep ->
-# timer-wake -> dispatch cycle must report 0 allocs/op. A trace ring
-# allocates what it records, not its capacity.
+# completed in place without either, and a warm 2-CPU machine under every
+# policy with BWD on: slice expiry, sleep, yield, spins, BWD deschedules,
+# balance steals, futex handoffs and VB wakes), and the end-to-end kernel
+# sleep -> timer-wake -> dispatch cycle must report 0 allocs/op. A trace
+# ring allocates what it records, not its capacity.
 go test ./internal/sim -run 'TestRearmZeroAlloc|TestFreeListZeroAlloc|TestProcSwitchZeroAlloc' -count=1 >/dev/null
-go test ./internal/sched -run 'TestRunInPlaceZeroAlloc' -count=1 >/dev/null
+go test ./internal/sched -run 'TestRunInPlaceZeroAlloc|TestSteadyStateZeroAlloc' -count=1 >/dev/null
 go test ./internal/trace -run 'TestRingAllocatesWhatItRecords' -count=1 >/dev/null
 go test ./internal/sched -run '^$' -bench BenchmarkKernelWakeDispatch \
     -benchtime 2000x -benchmem >"$detdir/wakebench.txt"

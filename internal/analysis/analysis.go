@@ -9,13 +9,14 @@
 // go/parser + go/types (stdlib only) and reports every construct that can
 // leak host nondeterminism into simulation results.
 //
-// Beyond the syntactic rules, a dataflow layer (dataflow.go) — a def-use
-// index and a static call graph over the typed AST — feeds interprocedural
-// passes: seed taint tracking (seedtaint), package-level mutable state
-// that concurrent engines under -jobs would share (sharedstate,
-// shardsafe), and zero-alloc hot-path enforcement (hotpath). Closed-enum
+// The suite keeps only the rules no run-time gate replaces. Beside the
+// syntactic rules, one module-wide pass finds package-level mutable state
+// that concurrent engines under -jobs would share (sharedstate: writes,
+// escaping addresses and pointer-receiver calls). Closed-enum
 // exhaustiveness (kindswitch) and schema-tag registry checks (schemalit)
-// complete the suite. DESIGN.md §12 documents the architecture.
+// complete the suite. Seed threading and hot-path allocations are left to
+// run-time gates: the goldens, -race and the alloc gate (DESIGN.md §12
+// and §13).
 //
 // Audited exceptions are annotated in the source:
 //
@@ -62,7 +63,7 @@ type Analyzer struct {
 	// Module-scope rules that only accumulate may leave it nil.
 	Run func(*Pass)
 	// Finish, if non-nil, runs once after every package has been visited.
-	// Rules that need whole-module state (atomics, the dataflow passes)
+	// Rules that need whole-module state (sharedstate, schemalit)
 	// report from here; the pass it receives has no Pkg.
 	Finish func(*Pass)
 }
@@ -77,10 +78,7 @@ func Analyzers() []*Analyzer {
 		GoStmt,
 		SimTime,
 		Atomics,
-		SeedTaint,
 		SharedState,
-		ShardSafe,
-		HotPath,
 		KindSwitch,
 		SchemaLit,
 		AllowReason,

@@ -59,10 +59,7 @@ func TestRules(t *testing.T) {
 		"gostmt",
 		"simtime",
 		"atomics",
-		"seedtaint",
 		"sharedstate",
-		"shardsafe",
-		"hotpath",
 		"kindswitch",
 		"schemalit",
 		"allowreason",
@@ -243,8 +240,7 @@ func TestSimScopeSeesPolicyFiles(t *testing.T) {
 
 	// Same staleness pin for the observability layer: blame attribution
 	// and the fleet trace plumbing are in simulation scope, and their
-	// files (exhaustive Kind switches, hot-path adjacency) must stay in
-	// the analyzed set.
+	// files (exhaustive Kind switches) must stay in the analyzed set.
 	byPath := map[string]*Package{}
 	for _, pkg := range pkgs {
 		byPath[pkg.Path] = pkg
@@ -252,7 +248,7 @@ func TestSimScopeSeesPolicyFiles(t *testing.T) {
 	for path, files := range map[string][]string{
 		"oversub/internal/trace": {"blame.go", "oracle.go", "analytics.go", "chrome.go"},
 		// Concurrent fleet cells under -jobs run several engines at once:
-		// these files are the code sharedstate and shardsafe police.
+		// these files are the code sharedstate polices.
 		"oversub/internal/cluster": {"observe.go", "cluster.go"},
 		"oversub/internal/sim":     {"engine.go", "rng.go"},
 	} {

@@ -92,6 +92,37 @@ func isRandPkg(path string) bool {
 	return path == "math/rand" || path == "math/rand/v2"
 }
 
+// Atomics forbids sync/atomic's package-level functions (AddInt64,
+// LoadUint32, CompareAndSwapPointer, ...). They operate on plain
+// variables, so nothing stops another access to the same variable from
+// being a plain read or write — the torn-counter bug class, which -race
+// misses whenever the test suite happens not to run the two accesses
+// concurrently. The typed atomic.Int64 & friends have no plain-access
+// path; shared counters must use them.
+var Atomics = &Analyzer{
+	Name: "atomics",
+	Doc:  "forbid sync/atomic's package-level functions; use the typed atomic.* values",
+	Run:  runAtomics,
+}
+
+func runAtomics(pass *Pass) {
+	for _, f := range pass.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
+				return true
+			}
+			pass.Reportf(sel.Pos(),
+				"atomic.%s works on a plain variable that other code can still read or write plainly; use a typed atomic.* value instead", fn.Name())
+			return true
+		})
+	}
+}
+
 // MapRange forbids ranging over maps in simulation scope. Go randomizes
 // map iteration order per run, so any map walk whose effects reach a
 // result, an event ordering, or printed output breaks seed-reproducibility.

@@ -16,9 +16,14 @@ import (
 //
 // A package-level var is "mutable" when the module contains evidence of
 // mutation: a direct assignment or ++/--, a mutation through its elements
-// (index or field store), or its address escaping (&v handed away can be
-// written anywhere). Read-only lookup tables initialized at declaration
-// — cost tables, name arrays — stay legal: they are constants in spirit,
+// (index or field store), its address escaping (&v handed away can be
+// written anywhere), or a pointer-receiver method call on it or one of
+// its elements (sigCounter.Add(1) writes through an implicit &v that
+// never appears in the source). The call evidence is conservative: it
+// cannot tell Add from Load, and state reachable only through pointer
+// receivers is shared mutable state either way. Read-only lookup tables
+// initialized at declaration — cost tables, name arrays — and
+// value-receiver calls on them stay legal: they are constants in spirit,
 // and Go just lacks const composites.
 //
 // The write scan is module-wide (a host-side package mutating a sim
@@ -35,7 +40,7 @@ const sharedStateKey = "sharedstate"
 
 type sharedWrite struct {
 	pos  token.Pos
-	what string // "assigned", "mutated via element", "address taken"
+	what string // "assigned", "address taken", "pointer-receiver call v.M", ...
 }
 
 type sharedStateState struct {
@@ -54,7 +59,6 @@ type sharedDecl struct {
 }
 
 func runSharedState(pass *Pass) {
-	dataflow(pass)
 	st := pass.State(sharedStateKey, func() any {
 		return &sharedStateState{decl: map[*types.Var]sharedDecl{}, writes: map[*types.Var][]sharedWrite{}}
 	}).(*sharedStateState)
@@ -157,10 +161,32 @@ func runSharedState(pass *Pass) {
 						record(v, n.X.Pos(), "address taken")
 					}
 				}
+			case *ast.CallExpr:
+				// A pointer-typed var is only read: the call does not take
+				// its address.
+				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && ptrMethod(info.Selections[sel]) {
+					if v, _ := pkgVar(sel.X); v != nil && !isPointer(v.Type()) {
+						record(v, sel.Pos(), "pointer-receiver call "+types.ExprString(sel))
+					}
+				}
 			}
 			return true
 		})
 	}
+}
+
+// ptrMethod reports whether s selects a method with a pointer receiver.
+func ptrMethod(s *types.Selection) bool {
+	if s == nil || s.Kind() != types.MethodVal {
+		return false
+	}
+	recv := s.Obj().Type().(*types.Signature).Recv()
+	return recv != nil && isPointer(recv.Type())
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
 }
 
 func finishSharedState(pass *Pass) {

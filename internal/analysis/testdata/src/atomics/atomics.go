@@ -1,51 +1,33 @@
-// Package atomics seeds violations for simlint's atomics rule: the
-// sigCounter bug class, where the same variable is accessed both through
-// sync/atomic and with plain reads/writes.
+// Package atomics seeds violations for simlint's atomics rule: calls to
+// sync/atomic's package-level functions, which work on plain variables
+// that other code can still access plainly (the torn-counter bug class).
 package atomics
 
 import "sync/atomic"
 
-// counter mixes atomic and plain access to the same package-level var —
-// and, being package-level mutable state, is also exactly what the
-// sharedstate rule exists to keep out of simulation scope.
-var counter uint64 // want `\[sharedstate\] package-level var counter is mutable \(address taken at atomics\.go:\d+\)`
-
-func bump() {
-	atomic.AddUint64(&counter, 1)
-}
-
-func report() uint64 {
-	return counter // want `\[atomics\] package-level var counter is accessed both via sync/atomic`
-}
-
 type gauge struct {
-	// level mixes atomic and plain access across methods.
 	level int64
-	// floor is only ever read plainly: fine.
-	floor int64
+	// typed is safe by construction: atomic.Int64 has no plain-access path.
+	typed atomic.Int64
 }
 
 func (g *gauge) raise(by int64) {
-	atomic.AddInt64(&g.level, by)
+	atomic.AddInt64(&g.level, by) // want `\[atomics\] atomic\.AddInt64 works on a plain variable`
 }
 
-func (g *gauge) reset() {
-	g.level = 0 // want `\[atomics\] field level is accessed both via sync/atomic`
-	_ = g.floor
+func (g *gauge) read() int64 {
+	return atomic.LoadInt64(&g.level) + g.level // want `\[atomics\] atomic\.LoadInt64 works on a plain variable`
 }
 
-// typed is safe by construction and never flagged: the atomic.Uint64 type
-// has no plain-access path.
-type typed struct {
-	n atomic.Uint64
+func (g *gauge) claim(old, next int64) bool {
+	return atomic.CompareAndSwapInt64(&g.level, old, next) // want `\[atomics\] atomic\.CompareAndSwapInt64 works on a plain variable`
 }
 
-func (t *typed) bump() uint64 {
-	return t.n.Add(1)
-}
+// A function value counts too: it is still a plain-variable primitive.
+var store = atomic.StoreUint32 // want `\[atomics\] atomic\.StoreUint32 works on a plain variable`
 
-// fresh constructs a gauge with a composite literal; initialization before
-// publication is not a plain access.
-func fresh() *gauge {
-	return &gauge{level: 1, floor: 2}
+// Methods on the typed values are the sanctioned form and never flagged.
+func (g *gauge) bump() int64 {
+	g.typed.Store(0)
+	return g.typed.Add(1) + g.typed.Load()
 }

@@ -17,27 +17,3 @@ const (
 	Millisecond          = 1000 * Microsecond
 	Second               = 1000 * Millisecond
 )
-
-// Rand is a deterministic random source.
-type Rand struct{ state uint64 }
-
-// NewRand returns a source seeded with seed.
-func NewRand(seed uint64) *Rand { return &Rand{state: seed} }
-
-// Uint64 returns the next 64 random bits.
-func (r *Rand) Uint64() uint64 {
-	r.state = r.state*6364136223846793005 + 1442695040888963407
-	return r.state
-}
-
-// Split returns an independent source derived from this one.
-func (r *Rand) Split() *Rand { return NewRand(r.Uint64()) }
-
-// Engine is a stub simulation engine.
-type Engine struct{ rng *Rand }
-
-// NewEngine returns an engine seeded with seed.
-func NewEngine(seed uint64) *Engine { return &Engine{rng: NewRand(seed)} }
-
-// Rand returns the engine's random source.
-func (e *Engine) Rand() *Rand { return e.rng }

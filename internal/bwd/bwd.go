@@ -130,8 +130,6 @@ func (d *Detector) Start() {
 func (d *Detector) Stop() { d.stopped = true }
 
 // tick is one timer interrupt on one core.
-//
-//simlint:hotpath
 func (d *Detector) tick(cpu int) {
 	if d.stopped {
 		return

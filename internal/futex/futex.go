@@ -216,7 +216,8 @@ func (f *Futex) Wake(t *sched.Thread, n int) int {
 	t.Run(costs.SyscallEntry)
 	f.b.lock.Lock(t)
 	t.RunKernel(costs.BucketLockHold)
-	popped := f.popWaiters(t, n, costs.WakeQMove)
+	var buf [8]wakeRef
+	popped := f.popWaiters(t, n, costs.WakeQMove, buf[:0])
 	if len(popped) > f.maxBatch {
 		f.maxBatch = len(popped)
 	}
@@ -256,7 +257,8 @@ func (f *Futex) Requeue(t *sched.Thread, nWake, nMove int, target *Futex, expect
 		f.b.lock.Unlock(t)
 		return 0, 0, false
 	}
-	popped := f.popWaiters(t, nWake, costs.WakeQMove)
+	var buf [8]wakeRef
+	popped := f.popWaiters(t, nWake, costs.WakeQMove, buf[:0])
 	if len(popped) > f.maxBatch {
 		f.maxBatch = len(popped)
 	}
@@ -313,10 +315,10 @@ func (f *Futex) Waiters() int {
 }
 
 // popWaiters removes up to n waiters of futex f from the shared bucket in
-// FIFO order, charging the waker per moved waiter. Must hold the bucket
-// lock.
-func (f *Futex) popWaiters(t *sched.Thread, n int, moveCost sim.Duration) []wakeRef {
-	var popped []wakeRef
+// FIFO order, charging the waker per moved waiter, and appends them to
+// popped. Callers pass a stack buffer, so a handoff or a small broadcast
+// does not allocate. Must hold the bucket lock.
+func (f *Futex) popWaiters(t *sched.Thread, n int, moveCost sim.Duration, popped []wakeRef) []wakeRef {
 	kept := f.b.waiters[:0]
 	for _, w := range f.b.waiters {
 		if len(popped) < n && w.f == f {

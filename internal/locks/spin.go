@@ -12,11 +12,12 @@ import (
 // runs now construct locks concurrently (internal/runner). Results only
 // depend on address *distinctness* within a run, never on the absolute
 // value, so concurrent allocation order cannot perturb a run's outcome.
+//
+//simlint:allow sharedstate -- results depend only on signature distinctness, never on which run drew which value (the contract stated above); the counter is atomic, so concurrent runner jobs allocating locks cannot tear it
 var sigCounter atomic.Uint64
 
 // newSig allocates a distinct spin-loop signature (branch address pair).
 func newSig(iterNS float64, pause bool) hw.SpinSig {
-	//simlint:allow shardsafe -- results depend only on signature distinctness, never on which run drew which value (the contract stated above); the counter is atomic, so concurrent runner jobs allocating locks cannot tear it
 	return hw.NewSpinSig(0x400000+sigCounter.Add(1)*0x200, iterNS, pause)
 }
 

@@ -295,8 +295,6 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 // so vblocked threads always sort last among themselves in FIFO (blockedKey)
 // order, while the policy orders the runnable prefix; thread ID breaks ties
 // so the order is total and deterministic.
-//
-//simlint:hotpath
 func (k *Kernel) threadLess(a, b *Thread) bool {
 	if a.vblocked != b.vblocked {
 		return !a.vblocked
@@ -498,8 +496,6 @@ func (k *Kernel) idlestCPU(prevCPU int) int {
 
 // enqueue inserts t into c's runqueue. The caller is responsible for
 // migration accounting and vruntime placement.
-//
-//simlint:hotpath
 func (k *Kernel) enqueue(c *cpu, t *Thread) {
 	if t.node != nil {
 		panic(fmt.Sprintf("sched: %v already enqueued", t))
@@ -518,8 +514,6 @@ func (k *Kernel) enqueue(c *cpu, t *Thread) {
 }
 
 // dequeue removes t from its runqueue.
-//
-//simlint:hotpath
 func (k *Kernel) dequeue(t *Thread) {
 	c := k.cpus[t.cpu]
 	if t.node == nil {
@@ -535,8 +529,6 @@ func (k *Kernel) dequeue(t *Thread) {
 
 // reschedule requests a dispatch pass on c at the current time, coalescing
 // duplicates.
-//
-//simlint:hotpath
 func (k *Kernel) reschedule(c *cpu) {
 	if c.schedQueued {
 		return
@@ -548,54 +540,44 @@ func (k *Kernel) reschedule(c *cpu) {
 // Package-level trampolines for AtCall/AfterCall: non-capturing functions
 // whose state travels inline in the event node, keeping the kernel's hot
 // scheduling paths free of per-event closure allocations.
-//
-//simlint:hotpath
 func reschedCall(arg any, _, _ uint64) {
 	c := arg.(*cpu)
 	c.schedQueued = false
 	c.k.schedule(c)
 }
 
-//simlint:hotpath
 func overheadDoneCall(arg any, _, _ uint64) {
 	c := arg.(*cpu)
 	c.k.closeSegment(c)
 	c.k.execute(c)
 }
 
-//simlint:hotpath
 func finishRunCall(arg any, cpuID, epoch uint64) {
 	t := arg.(*Thread)
 	t.k.finishRun(t.k.cpus[cpuID], t, epoch)
 }
 
-//simlint:hotpath
 func finishSpinCall(arg any, cpuID, epoch uint64) {
 	t := arg.(*Thread)
 	t.k.finishSpin(t.k.cpus[cpuID], t, epoch)
 }
 
-//simlint:hotpath
 func finishSpinDeadlineCall(arg any, cpuID, epoch uint64) {
 	t := arg.(*Thread)
 	t.k.finishSpinDeadline(t.k.cpus[cpuID], t, epoch)
 }
 
-//simlint:hotpath
 func timerWakeCall(arg any, _, _ uint64) {
 	t := arg.(*Thread)
 	t.k.timerWake(t)
 }
 
-//simlint:hotpath
 func preemptNowCall(arg any, cpuID, _ uint64) {
 	t := arg.(*Thread)
 	t.k.preemptNow(t.k.cpus[cpuID], t)
 }
 
 // schedule dispatches the next thread on c if it is not running one.
-//
-//simlint:hotpath
 func (k *Kernel) schedule(c *cpu) {
 	if !c.enabled || c.curr != nil {
 		return
@@ -650,8 +632,6 @@ func (k *Kernel) schedule(c *cpu) {
 
 // armSlice rearms the slice-expiry timer for the current thread with the
 // policy's slice.
-//
-//simlint:hotpath
 func (k *Kernel) armSlice(c *cpu) {
 	c.slice.Rearm(k.policy.Tick(c, c.curr))
 }
@@ -769,8 +749,6 @@ func tightBranchFor(t *Thread) hw.BranchRecord {
 }
 
 // execute serves the current thread's pending request.
-//
-//simlint:hotpath
 func (k *Kernel) execute(c *cpu) {
 	t := c.curr
 	if t == nil {
@@ -810,8 +788,6 @@ func (k *Kernel) execute(c *cpu) {
 }
 
 // finishRun completes a Run/RunTight request.
-//
-//simlint:hotpath
 func (k *Kernel) finishRun(c *cpu, t *Thread, epoch uint64) {
 	if c.curr != t || t.req.epoch != epoch {
 		return
@@ -843,8 +819,6 @@ func (k *Kernel) completeRun(c *cpu, t *Thread) {
 // t's CPU (no open segment, no overhead, slice timer armed) and nothing in
 // the kernel waits to run after the body parks again (not under
 // SyncWindow); otherwise it reports false and the caller parks.
-//
-//simlint:hotpath
 func (k *Kernel) runInPlace(t *Thread) bool {
 	c := k.cpus[t.cpu]
 	if k.syncing || c.curr != t || c.segKind != segNone || c.overhead > 0 || !c.slice.Active() {
@@ -860,8 +834,6 @@ func (k *Kernel) runInPlace(t *Thread) bool {
 }
 
 // finishSpin completes a spin whose condition was observed true.
-//
-//simlint:hotpath
 func (k *Kernel) finishSpin(c *cpu, t *Thread, epoch uint64) {
 	if c.curr != t || t.req.epoch != epoch || t.req.kind != reqSpin {
 		return
@@ -879,8 +851,6 @@ func (k *Kernel) finishSpin(c *cpu, t *Thread, epoch uint64) {
 
 // finishSpinDeadline ends a timed spin whose deadline passed; unlike
 // finishSpin it completes regardless of the condition.
-//
-//simlint:hotpath
 func (k *Kernel) finishSpinDeadline(c *cpu, t *Thread, epoch uint64) {
 	if c.curr != t || t.req.epoch != epoch || t.req.kind != reqSpin {
 		return
@@ -891,8 +861,6 @@ func (k *Kernel) finishSpinDeadline(c *cpu, t *Thread, epoch uint64) {
 
 // Kick re-evaluates the spin conditions of threads currently spinning on a
 // CPU. Word mutations call it automatically.
-//
-//simlint:hotpath
 func (k *Kernel) Kick() {
 	for _, c := range k.cpus {
 		t := c.curr
@@ -907,8 +875,6 @@ func (k *Kernel) Kick() {
 
 // armSpinExit schedules the completion of the current thread t's spin on
 // c, whose condition was just observed true, SpinExitLatency from now.
-//
-//simlint:hotpath
 func (k *Kernel) armSpinExit(c *cpu, t *Thread) {
 	t.req.completing = true
 	c.segEv = k.spinExit.AfterCall(finishSpinCall, t, uint64(c.id), t.req.epoch)
@@ -916,8 +882,6 @@ func (k *Kernel) armSpinExit(c *cpu, t *Thread) {
 
 // advance resumes the thread body to obtain its next request, then serves
 // it (or handles exit/descheduling directives applied during the switch).
-//
-//simlint:hotpath
 func (k *Kernel) advance(c *cpu) {
 	t := c.curr
 	t.proc.Switch()
@@ -958,8 +922,6 @@ func (k *Kernel) exitThread(c *cpu, t *Thread) {
 
 // applyDirective handles a freshly parked request that deschedules the
 // thread. It runs on the proc goroutine, inside the engine's Switch window.
-//
-//simlint:hotpath
 func (k *Kernel) applyDirective(t *Thread) {
 	c := k.cpus[t.cpu]
 	if c.curr != t {
@@ -1001,8 +963,6 @@ func (k *Kernel) applyDirective(t *Thread) {
 }
 
 // offCPU removes the current thread from c, counting the context switch.
-//
-//simlint:hotpath
 func (k *Kernel) offCPU(c *cpu, t *Thread, voluntary bool) {
 	if c.curr != t {
 		panic("sched: offCPU of non-current thread")
@@ -1021,8 +981,6 @@ func (k *Kernel) offCPU(c *cpu, t *Thread, voluntary bool) {
 }
 
 // sliceExpire handles the end of the current thread's time slice.
-//
-//simlint:hotpath
 func (k *Kernel) sliceExpire(c *cpu) {
 	t := c.curr
 	if t == nil {
@@ -1058,8 +1016,6 @@ func (k *Kernel) sliceExpire(c *cpu) {
 // Preempt forces the current thread of CPU id off, optionally setting the
 // BWD skip flag so it is not rescheduled until its peers have each run.
 // It is the action arm of busy-waiting detection and PLE.
-//
-//simlint:hotpath
 func (k *Kernel) Preempt(cpuID int, skip bool) {
 	c := k.cpus[cpuID]
 	t := c.curr
@@ -1086,8 +1042,6 @@ func (k *Kernel) Preempt(cpuID int, skip bool) {
 // core's LBR and PMC state reflect all activity up to the current instant.
 // Detector timers call it before reading the observables, mirroring how a
 // real timer interrupt naturally samples committed architectural state.
-//
-//simlint:hotpath
 func (k *Kernel) SyncWindow(cpuID int) {
 	c := k.cpus[cpuID]
 	if c.curr == nil || c.segKind == segNone {
@@ -1124,7 +1078,6 @@ func (k *Kernel) exitVBIdle(c *cpu) {
 	k.eng.AfterCall(lat, vbExitCall, c, 0, 0)
 }
 
-//simlint:hotpath
 func vbExitCall(arg any, _, _ uint64) {
 	c := arg.(*cpu)
 	k := c.k
@@ -1143,8 +1096,6 @@ func vbExitCall(arg any, _, _ uint64) {
 
 // timerWake wakes a thread from a timed sleep: a cheap local wakeup from
 // interrupt context (no waker thread to charge).
-//
-//simlint:hotpath
 func (k *Kernel) timerWake(t *Thread) {
 	if t.state != StateSleeping {
 		return
@@ -1160,8 +1111,6 @@ func (k *Kernel) timerWake(t *Thread) {
 
 // placeWoken enqueues a woken thread on c with the sleeper bonus and
 // migration accounting.
-//
-//simlint:hotpath
 func (k *Kernel) placeWoken(c *cpu, t *Thread) {
 	if !c.enabled {
 		// The cpuset shrank while the waker was mid-path; retarget.
@@ -1232,8 +1181,6 @@ func (k *Kernel) checkPreemptGran(c *cpu, t *Thread, waker *Thread, gran sim.Dur
 }
 
 // preemptNow forces curr off c if it is still running.
-//
-//simlint:hotpath
 func (k *Kernel) preemptNow(c *cpu, curr *Thread) {
 	if c.curr != curr {
 		return
@@ -1253,8 +1200,6 @@ func (k *Kernel) preemptNow(c *cpu, curr *Thread) {
 // idlest-core selection, remote runqueue locking, enqueue, and the
 // preemption check. The waker's CPU time is consumed at each step, which is
 // what serializes bulk wakeups. t must be vanilla-blocked (StateSleeping).
-//
-//simlint:hotpath
 func (k *Kernel) WakeVanilla(waker *Thread, t *Thread) {
 	if t.state != StateSleeping {
 		return
@@ -1280,8 +1225,6 @@ func (k *Kernel) WakeVanilla(waker *Thread, t *Thread) {
 // WakeIRQ wakes a vanilla-blocked thread from interrupt context (e.g. a
 // network receive): the wakeup costs are charged to the target CPU as
 // kernel overhead rather than to a waker thread.
-//
-//simlint:hotpath
 func (k *Kernel) WakeIRQ(t *Thread) {
 	if t.state != StateSleeping {
 		return
@@ -1296,8 +1239,6 @@ func (k *Kernel) WakeIRQ(t *Thread) {
 // VWake clears t's thread_state flag, restoring it to normal scheduling on
 // its current runqueue — the virtual-blocking wakeup. waker is charged the
 // (small) flag-clear cost; pass nil from interrupt context.
-//
-//simlint:hotpath
 func (k *Kernel) VWake(waker *Thread, t *Thread) {
 	if !t.vblocked {
 		return

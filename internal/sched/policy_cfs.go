@@ -16,22 +16,16 @@ type cfsPolicy struct {
 
 func (p *cfsPolicy) Name() string { return "cfs" }
 
-//simlint:hotpath
 func (p *cfsPolicy) Less(a, b *Thread) bool { return a.vruntime < b.vruntime }
 
-//simlint:hotpath
 func (p *cfsPolicy) PickNext(c *cpu) *Thread { return pickLeftmost(c) }
 
-//simlint:hotpath
 func (p *cfsPolicy) Enqueue(c *cpu, t *Thread) {}
 
-//simlint:hotpath
 func (p *cfsPolicy) Dequeue(c *cpu, t *Thread) {}
 
-//simlint:hotpath
 func (p *cfsPolicy) Woken(c *cpu, t *Thread) {}
 
-//simlint:hotpath
 func (p *cfsPolicy) Tick(c *cpu, t *Thread) sim.Duration { return p.k.fairSlice(c) }
 
 func (p *cfsPolicy) WakeTarget(t *Thread) int { return p.k.defaultWakeTarget(t) }
@@ -39,12 +33,9 @@ func (p *cfsPolicy) WakeTarget(t *Thread) int { return p.k.defaultWakeTarget(t) 
 // WakePreempts accounts curr's time since dispatch, as the scheduler tick
 // would — the stored vruntime is only updated when segments close — and
 // preempts when curr leads the woken thread by more than gran.
-//
-//simlint:hotpath
 func (p *cfsPolicy) WakePreempts(c *cpu, curr, t *Thread, gran sim.Duration) bool {
 	currVr := curr.vruntime + sim.Duration(p.k.eng.Now().Sub(c.currStart))
 	return currVr-t.vruntime > gran
 }
 
-//simlint:hotpath
 func (p *cfsPolicy) StealCandidate(c *cpu) *Thread { return stealRightmost(c) }

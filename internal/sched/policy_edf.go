@@ -17,17 +17,13 @@ type edfPolicy struct {
 
 func (p *edfPolicy) Name() string { return "edf" }
 
-//simlint:hotpath
 func (p *edfPolicy) Less(a, b *Thread) bool { return a.deadline < b.deadline }
 
-//simlint:hotpath
 func (p *edfPolicy) PickNext(c *cpu) *Thread { return pickLeftmost(c) }
 
 // Enqueue postpones an already-expired deadline by one period so a
 // slice-expired CPU hog re-enters the queue behind still-live deadlines.
 // The key mutation is safe here: the hook runs before tree insertion.
-//
-//simlint:hotpath
 func (p *edfPolicy) Enqueue(c *cpu, t *Thread) {
 	now := p.k.eng.Now()
 	if t.deadline <= now {
@@ -35,18 +31,14 @@ func (p *edfPolicy) Enqueue(c *cpu, t *Thread) {
 	}
 }
 
-//simlint:hotpath
 func (p *edfPolicy) Dequeue(c *cpu, t *Thread) {}
 
 // Woken starts a fresh period: the wakeup is the job arrival, so the
 // absolute deadline is now + the thread's relative deadline.
-//
-//simlint:hotpath
 func (p *edfPolicy) Woken(c *cpu, t *Thread) {
 	t.deadline = p.k.eng.Now().Add(p.relFor(t))
 }
 
-//simlint:hotpath
 func (p *edfPolicy) relFor(t *Thread) sim.Duration {
 	if t.relDeadline > 0 {
 		return t.relDeadline
@@ -54,15 +46,12 @@ func (p *edfPolicy) relFor(t *Thread) sim.Duration {
 	return p.k.costs.SchedLatency
 }
 
-//simlint:hotpath
 func (p *edfPolicy) Tick(c *cpu, t *Thread) sim.Duration { return p.k.fairSlice(c) }
 
 func (p *edfPolicy) WakeTarget(t *Thread) int { return p.k.defaultWakeTarget(t) }
 
-//simlint:hotpath
 func (p *edfPolicy) WakePreempts(c *cpu, curr, t *Thread, gran sim.Duration) bool {
 	return t.deadline < curr.deadline
 }
 
-//simlint:hotpath
 func (p *edfPolicy) StealCandidate(c *cpu) *Thread { return stealRightmost(c) }

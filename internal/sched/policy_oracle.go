@@ -30,8 +30,6 @@ type oraclePolicy struct {
 // Timed compute sorts by exact remaining demand (SRPT). Busy-waiters sort
 // last: they make no progress of their own and must never starve the
 // thread whose flag they poll.
-//
-//simlint:hotpath
 func oracleKey(t *Thread) sim.Duration {
 	switch t.req.kind {
 	case reqRun, reqTight:
@@ -46,7 +44,6 @@ func oracleKey(t *Thread) sim.Duration {
 
 func (p *oraclePolicy) Name() string { return "oracle" }
 
-//simlint:hotpath
 func (p *oraclePolicy) Less(a, b *Thread) bool {
 	ka, kb := oracleKey(a), oracleKey(b)
 	if ka != kb {
@@ -55,30 +52,23 @@ func (p *oraclePolicy) Less(a, b *Thread) bool {
 	return a.arrivalSeq < b.arrivalSeq
 }
 
-//simlint:hotpath
 func (p *oraclePolicy) PickNext(c *cpu) *Thread { return pickLeftmost(c) }
 
-//simlint:hotpath
 func (p *oraclePolicy) Enqueue(c *cpu, t *Thread) {
 	p.seq++
 	t.arrivalSeq = p.seq
 }
 
-//simlint:hotpath
 func (p *oraclePolicy) Dequeue(c *cpu, t *Thread) {}
 
-//simlint:hotpath
 func (p *oraclePolicy) Woken(c *cpu, t *Thread) {}
 
-//simlint:hotpath
 func (p *oraclePolicy) Tick(c *cpu, t *Thread) sim.Duration { return p.k.fairSlice(c) }
 
 func (p *oraclePolicy) WakeTarget(t *Thread) int { return p.k.defaultWakeTarget(t) }
 
-//simlint:hotpath
 func (p *oraclePolicy) WakePreempts(c *cpu, curr, t *Thread, gran sim.Duration) bool {
 	return oracleKey(t) < oracleKey(curr)
 }
 
-//simlint:hotpath
 func (p *oraclePolicy) StealCandidate(c *cpu) *Thread { return stealRightmost(c) }

@@ -22,26 +22,20 @@ type shinjukuPolicy struct {
 
 func (p *shinjukuPolicy) Name() string { return "shinjuku" }
 
-//simlint:hotpath
 func (p *shinjukuPolicy) Less(a, b *Thread) bool { return a.arrivalSeq < b.arrivalSeq }
 
-//simlint:hotpath
 func (p *shinjukuPolicy) PickNext(c *cpu) *Thread { return pickLeftmost(c) }
 
 // Enqueue stamps the arrival sequence; the sequence is policy-global (one
 // policy instance per kernel), which yields FIFO order within each queue
 // and arrival-time affinity across steals.
-//
-//simlint:hotpath
 func (p *shinjukuPolicy) Enqueue(c *cpu, t *Thread) {
 	p.seq++
 	t.arrivalSeq = p.seq
 }
 
-//simlint:hotpath
 func (p *shinjukuPolicy) Dequeue(c *cpu, t *Thread) {}
 
-//simlint:hotpath
 func (p *shinjukuPolicy) Woken(c *cpu, t *Thread) {}
 
 // Tick grants the fixed quantum of on-CPU time. The pending dispatch
@@ -51,18 +45,14 @@ func (p *shinjukuPolicy) Woken(c *cpu, t *Thread) {}
 // thread having done no work at all — every thread thrashing in turn,
 // forever. Real Shinjuku sidesteps this with ~100 ns switches; this
 // simulator charges full CFS-grade switch costs.
-//
-//simlint:hotpath
 func (p *shinjukuPolicy) Tick(c *cpu, t *Thread) sim.Duration {
 	return shinjukuQuantum + c.overhead
 }
 
 func (p *shinjukuPolicy) WakeTarget(t *Thread) int { return p.k.defaultWakeTarget(t) }
 
-//simlint:hotpath
 func (p *shinjukuPolicy) WakePreempts(c *cpu, curr, t *Thread, gran sim.Duration) bool {
 	return false
 }
 
-//simlint:hotpath
 func (p *shinjukuPolicy) StealCandidate(c *cpu) *Thread { return stealRightmost(c) }

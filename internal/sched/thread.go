@@ -215,8 +215,6 @@ func (t *Thread) Lifetime() sim.Duration {
 
 // park hands the current request to the kernel and suspends the body until
 // the request is complete.
-//
-//simlint:hotpath
 func (t *Thread) park() {
 	t.k.applyDirective(t)
 	t.proc.Park()
@@ -226,8 +224,6 @@ func (t *Thread) park() {
 // one, under a new epoch so completion events scheduled for an earlier
 // request see they are stale, and returns it for the caller to fill in
 // place.
-//
-//simlint:hotpath
 func (t *Thread) newRequest(kind reqKind) *request {
 	t.req = request{kind: kind, epoch: t.req.epoch + 1}
 	return &t.req
@@ -247,8 +243,6 @@ func (t *Thread) Run(d sim.Duration) {
 // compute serves the current run or tight request: in place when its
 // completion is the engine's next event, otherwise through the kernel's
 // queued path.
-//
-//simlint:hotpath
 func (t *Thread) compute() {
 	if !t.k.runInPlace(t) {
 		t.park()

@@ -63,8 +63,6 @@ func (ev Event) At() Time {
 
 // Cancel prevents the event from firing. Cancelling an event that already
 // fired, was cancelled, or is the zero Event is a safe no-op.
-//
-//simlint:hotpath
 func (ev Event) Cancel() {
 	n := ev.n
 	if n == nil || n.gen != ev.gen || n.idx == idxFree {
@@ -188,8 +186,6 @@ func (e *Engine) recycle(n *node) {
 
 // enqueue stamps n with the next sequence number and queues it for time t
 // (heap, or the zero lane when t == now).
-//
-//simlint:hotpath
 func (e *Engine) enqueue(n *node, t Time) Event {
 	e.seq++
 	if t == e.now {
@@ -204,8 +200,6 @@ func (e *Engine) enqueue(n *node, t Time) Event {
 
 // At schedules fn to run at time t. Scheduling in the past panics: the
 // simulation would lose causality.
-//
-//simlint:hotpath
 func (e *Engine) At(t Time, fn func()) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, e.now))
@@ -216,8 +210,6 @@ func (e *Engine) At(t Time, fn func()) Event {
 }
 
 // After schedules fn to run d from now. Negative d panics.
-//
-//simlint:hotpath
 func (e *Engine) After(d Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
@@ -229,8 +221,6 @@ func (e *Engine) After(d Duration, fn func()) Event {
 // the event node itself, so a package-level (non-capturing) fn makes the
 // whole schedule/fire cycle allocation-free — the closure-free counterpart
 // of At for hot paths.
-//
-//simlint:hotpath
 func (e *Engine) AtCall(t Time, fn func(arg any, a, b uint64), arg any, a, b uint64) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, e.now))
@@ -241,8 +231,6 @@ func (e *Engine) AtCall(t Time, fn func(arg any, a, b uint64), arg any, a, b uin
 }
 
 // AfterCall schedules fn(arg, a, b) to run d from now. Negative d panics.
-//
-//simlint:hotpath
 func (e *Engine) AfterCall(d Duration, fn func(arg any, a, b uint64), arg any, a, b uint64) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
@@ -263,8 +251,6 @@ func (e *Engine) Stop() { e.stopped = true }
 // fire in place). Only a caller whose remaining work after the event would
 // be nothing but returning to Run may use it: anything it runs afterwards
 // would see the later clock. Scheduling in the past panics, as in At.
-//
-//simlint:hotpath
 func (e *Engine) SkipTo(t Time) bool {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, e.now))
@@ -289,8 +275,6 @@ func (e *Engine) Pending() int { return e.live }
 // Run executes events until the queue is empty, Stop is called, or the clock
 // would pass until (until <= 0 means no limit). It returns the time of the
 // last executed event (or the until horizon if it was reached).
-//
-//simlint:hotpath
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
 	e.running, e.until = true, until
@@ -325,8 +309,6 @@ func (e *Engine) Run(until Time) Time {
 func (e *Engine) endRun() { e.running = false }
 
 // Step executes exactly one event, if any, and reports whether it did.
-//
-//simlint:hotpath
 func (e *Engine) Step() bool {
 	n := e.pop()
 	if n == nil {
@@ -345,8 +327,6 @@ func (e *Engine) Step() bool {
 // call so the pool stays hot — events the callback schedules reuse the node
 // immediately — and so handles to the firing event are already inert inside
 // the callback, matching Cancel-after-fire being a no-op.
-//
-//simlint:hotpath
 func (e *Engine) fire(n *node) {
 	if n.fnArg != nil {
 		fn, arg, a, b := n.fnArg, n.arg, n.a, n.b
@@ -366,8 +346,6 @@ func (e *Engine) fire(n *node) {
 // pop removes and returns the globally earliest live event by (at, seq),
 // merging the heap top with the lanes' cached minimum; nil if the queue is
 // empty.
-//
-//simlint:hotpath
 func (e *Engine) pop() *node {
 	if len(e.heap) > 0 {
 		top := e.heap[0]

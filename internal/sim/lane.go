@@ -52,8 +52,6 @@ func (e *Engine) Lane(d Duration) *Lane {
 
 // AfterCall schedules fn(arg, a, b) to run the lane's delay from now: the
 // lane-queued counterpart of Engine.AfterCall, firing in the same order.
-//
-//simlint:hotpath
 func (l *Lane) AfterCall(fn func(arg any, a, b uint64), arg any, a, b uint64) Event {
 	e := l.eng
 	n := e.alloc()
@@ -74,8 +72,6 @@ func (l *Lane) Timer(fn func()) *Timer {
 }
 
 // push queues n at the lane's back with key (now+d, seq).
-//
-//simlint:hotpath
 func (l *Lane) push(n *node, seq uint64) {
 	e := l.eng
 	n.at, n.seq, n.idx = e.now.Add(l.d), seq, idxLane
@@ -103,8 +99,6 @@ func (l *Lane) grow() {
 
 // drop removes the lane's front entry and recomputes the engine's cached
 // lane minimum.
-//
-//simlint:hotpath
 func (l *Lane) drop() {
 	l.buf[l.head] = heapEnt{}
 	l.head = (l.head + 1) & (len(l.buf) - 1)
@@ -124,8 +118,6 @@ func (l *Lane) drop() {
 // laneBefore reports whether the earliest live lane entry sorts before
 // (at, seq). When no lane entry does, it costs one inlined compare against
 // the cached minimum.
-//
-//simlint:hotpath
 func (e *Engine) laneBefore(at Time, seq uint64) bool {
 	return (e.lmAt < at || (e.lmAt == at && e.lmSeq < seq)) && e.liveLaneBefore(at, seq)
 }
@@ -133,8 +125,6 @@ func (e *Engine) laneBefore(at Time, seq uint64) bool {
 // liveLaneBefore is laneBefore's slow path, taken when the cached minimum
 // sorts before (at, seq): it drops the tombstones it meets at lane fronts
 // until the minimum is live or no longer sorts before the key.
-//
-//simlint:hotpath
 func (e *Engine) liveLaneBefore(at Time, seq uint64) bool {
 	for e.lmAt < at || (e.lmAt == at && e.lmSeq < seq) {
 		l := e.lm
@@ -148,8 +138,6 @@ func (e *Engine) liveLaneBefore(at Time, seq uint64) bool {
 
 // lanePop removes and returns the earliest lane entry, which laneBefore
 // has just found live.
-//
-//simlint:hotpath
 func (e *Engine) lanePop() *node {
 	l := e.lm
 	n := l.buf[l.head].n

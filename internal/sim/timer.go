@@ -28,8 +28,6 @@ func (e *Engine) Timer(fn func()) *Timer {
 
 // Rearm schedules — or, if armed, reschedules — the timer to fire d from
 // now. Negative d panics.
-//
-//simlint:hotpath
 func (tm *Timer) Rearm(d Duration) {
 	if l := tm.lane; l != nil && d == l.d {
 		tm.rearmLane(l)
@@ -43,8 +41,6 @@ func (tm *Timer) Rearm(d Duration) {
 
 // rearmAt schedules — or, if armed, reschedules — the timer to fire at
 // time t. Scheduling in the past panics.
-//
-//simlint:hotpath
 func (tm *Timer) rearmAt(t Time) {
 	e, n := tm.eng, tm.n
 	if t < e.now {
@@ -74,8 +70,6 @@ func (tm *Timer) rearmAt(t Time) {
 }
 
 // rearmLane schedules — or, if armed, reschedules — the timer on its lane.
-//
-//simlint:hotpath
 func (tm *Timer) rearmLane(l *Lane) {
 	e, n := tm.eng, tm.n
 	armed := n.idx != idxFree
@@ -92,8 +86,6 @@ func (tm *Timer) rearmLane(l *Lane) {
 
 // Stop disarms the timer. Stopping an unarmed timer is a no-op. The timer
 // stays usable: a later Rearm arms it again.
-//
-//simlint:hotpath
 func (tm *Timer) Stop() {
 	n := tm.n
 	if n.idx == idxFree {
