@@ -149,8 +149,10 @@ echo "== alloc gate: steady state is allocation-free =="
 # schedule/fire, both rearm shapes, the proc Switch/Park round trip, a Run
 # completed in place without either, and a warm 2-CPU machine under every
 # policy with BWD on: slice expiry, sleep, yield, spins, BWD deschedules,
-# balance steals, futex handoffs and VB wakes), and the end-to-end kernel
-# sleep -> timer-wake -> dispatch cycle must report 0 allocs/op. A trace
+# balance steals, futex handoffs and VB wakes; an epoll consumer woken from
+# interrupt context, VB and vanilla; a 32-party barrier's wide broadcasts),
+# and the end-to-end kernel sleep -> timer-wake -> dispatch cycle must
+# report 0 allocs/op. A trace
 # ring allocates what it records, not its capacity.
 go test ./internal/sim -run 'TestRearmZeroAlloc|TestFreeListZeroAlloc|TestProcSwitchZeroAlloc' -count=1 >/dev/null
 go test ./internal/sched -run 'TestRunInPlaceZeroAlloc|TestSteadyStateZeroAlloc' -count=1 >/dev/null

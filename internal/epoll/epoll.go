@@ -26,6 +26,9 @@ type Poll struct {
 	readyHead int
 	waiters   []*waiter
 	waitHead  int
+	// free pools waiter records: a record goes back once a post has popped
+	// it and its Wait has returned, so no reference to it remains.
+	free []*waiter
 }
 
 type waiter struct {
@@ -57,7 +60,7 @@ func (p *Poll) Wait(t *sched.Thread) Event {
 	t.Run(costs.SyscallEntry)
 	p.k.Metrics.EpollWaits++
 	for p.Ready() == 0 {
-		w := &waiter{t: t, vb: p.k.Features().VB}
+		w := p.getWaiter(t)
 		p.waiters = append(p.waiters, w)
 		if w.vb {
 			if !w.woken {
@@ -70,6 +73,11 @@ func (p *Poll) Wait(t *sched.Thread) Event {
 			}
 		}
 		w.done = true
+		if w.woken {
+			// Popped and returned: a record still queued (a wake from
+			// elsewhere) stays live until a post pops it.
+			p.free = append(p.free, w)
+		}
 		// Woken: either an event is ready or we raced with another waiter
 		// that consumed it; loop and re-block in that case.
 	}
@@ -110,6 +118,19 @@ func (p *Poll) PostFrom(waker *sched.Thread, ev Event) {
 			p.k.WakeVanilla(waker, w.t)
 		}
 	}
+}
+
+// getWaiter takes a waiter record for t from the pool, or makes one.
+func (p *Poll) getWaiter(t *sched.Thread) *waiter {
+	var w *waiter
+	if last := len(p.free) - 1; last >= 0 {
+		w = p.free[last]
+		p.free = p.free[:last]
+	} else {
+		w = new(waiter)
+	}
+	*w = waiter{t: t, vb: p.k.Features().VB}
+	return w
 }
 
 func (p *Poll) popWaiter() *waiter {

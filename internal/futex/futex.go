@@ -38,6 +38,11 @@ type Table struct {
 	// references held by in-flight wakers are detected by generation
 	// counter (see wakeRef).
 	freeW []*waiter
+	// freeRefs pools the buffers wakes pop their waiters into. Each wake in
+	// flight holds its own buffer until delivery ends — a waker parks
+	// inside RunKernel while delivering, and another wake may run
+	// meanwhile — so a broadcast of any width allocates nothing once warm.
+	freeRefs [][]wakeRef
 }
 
 type bucket struct {
@@ -216,24 +221,9 @@ func (f *Futex) Wake(t *sched.Thread, n int) int {
 	t.Run(costs.SyscallEntry)
 	f.b.lock.Lock(t)
 	t.RunKernel(costs.BucketLockHold)
-	var buf [8]wakeRef
-	popped := f.popWaiters(t, n, costs.WakeQMove, buf[:0])
-	if len(popped) > f.maxBatch {
-		f.maxBatch = len(popped)
-	}
+	popped := f.popWaiters(t, n, costs.WakeQMove)
 	f.b.lock.Unlock(t)
-	for _, r := range popped {
-		k.Metrics.FutexWakes++
-		if r.stale() {
-			continue // the target already consumed this wake and moved on
-		}
-		if r.w.vb {
-			k.VWake(t, r.w.t)
-		} else {
-			k.WakeVanilla(t, r.w.t)
-		}
-	}
-	return len(popped)
+	return f.tbl.deliver(t, popped)
 }
 
 // WakeAll wakes every waiter of this futex.
@@ -257,11 +247,7 @@ func (f *Futex) Requeue(t *sched.Thread, nWake, nMove int, target *Futex, expect
 		f.b.lock.Unlock(t)
 		return 0, 0, false
 	}
-	var buf [8]wakeRef
-	popped := f.popWaiters(t, nWake, costs.WakeQMove, buf[:0])
-	if len(popped) > f.maxBatch {
-		f.maxBatch = len(popped)
-	}
+	popped := f.popWaiters(t, nWake, costs.WakeQMove)
 	// Transfer the next nMove waiters to the target futex. Within the same
 	// bucket this is a relabel; across buckets the target's lock is taken
 	// too (the kernel orders the two locks by address; the single-threaded
@@ -289,18 +275,7 @@ func (f *Futex) Requeue(t *sched.Thread, nWake, nMove int, target *Futex, expect
 		target.b.lock.Unlock(t)
 	}
 	f.b.lock.Unlock(t)
-	for _, r := range popped {
-		k.Metrics.FutexWakes++
-		if r.stale() {
-			continue // the target already consumed this wake and moved on
-		}
-		if r.w.vb {
-			k.VWake(t, r.w.t)
-		} else {
-			k.WakeVanilla(t, r.w.t)
-		}
-	}
-	return len(popped), moved, true
+	return f.tbl.deliver(t, popped), moved, true
 }
 
 // Waiters returns the number of threads currently queued on this futex.
@@ -315,10 +290,15 @@ func (f *Futex) Waiters() int {
 }
 
 // popWaiters removes up to n waiters of futex f from the shared bucket in
-// FIFO order, charging the waker per moved waiter, and appends them to
-// popped. Callers pass a stack buffer, so a handoff or a small broadcast
-// does not allocate. Must hold the bucket lock.
-func (f *Futex) popWaiters(t *sched.Thread, n int, moveCost sim.Duration, popped []wakeRef) []wakeRef {
+// FIFO order, charging the waker per moved waiter, and returns them in a
+// pooled buffer that deliver releases. It records the batch size in
+// maxBatch. Must hold the bucket lock.
+func (f *Futex) popWaiters(t *sched.Thread, n int, moveCost sim.Duration) []wakeRef {
+	var popped []wakeRef
+	if last := len(f.tbl.freeRefs) - 1; last >= 0 {
+		popped = f.tbl.freeRefs[last]
+		f.tbl.freeRefs = f.tbl.freeRefs[:last]
+	}
 	kept := f.b.waiters[:0]
 	for _, w := range f.b.waiters {
 		if len(popped) < n && w.f == f {
@@ -330,7 +310,30 @@ func (f *Futex) popWaiters(t *sched.Thread, n int, moveCost sim.Duration, popped
 		}
 	}
 	f.b.waiters = kept
+	if len(popped) > f.maxBatch {
+		f.maxBatch = len(popped)
+	}
 	return popped
+}
+
+// deliver wakes the popped waiters in order on behalf of waker t, dropping
+// stale ones, then returns the buffer to the pool. It returns how many
+// waiters were popped.
+func (tbl *Table) deliver(t *sched.Thread, popped []wakeRef) int {
+	k := tbl.k
+	for _, r := range popped {
+		k.Metrics.FutexWakes++
+		if r.stale() {
+			continue // the target already consumed this wake and moved on
+		}
+		if r.w.vb {
+			k.VWake(t, r.w.t)
+		} else {
+			k.WakeVanilla(t, r.w.t)
+		}
+	}
+	tbl.freeRefs = append(tbl.freeRefs, popped[:0])
+	return len(popped)
 }
 
 // WaitTimeout is Wait with a relative timeout, as FUTEX_WAIT with a
@@ -400,15 +403,4 @@ func (f *Futex) removeWaiter(w *waiter) {
 		}
 	}
 	f.b.waiters = kept
-}
-
-// DebugWaiterIDs lists the thread IDs queued on this futex (diagnostics).
-func (f *Futex) DebugWaiterIDs() []int {
-	var out []int
-	for _, w := range f.b.waiters {
-		if w.f == f {
-			out = append(out, w.t.ID)
-		}
-	}
-	return out
 }

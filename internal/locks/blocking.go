@@ -214,16 +214,3 @@ func (c *Cond) BroadcastRequeue(t *sched.Thread, mu *Mutex) {
 	woken, moved, _ := c.seq.Requeue(t, 1, 1<<30, mu.f, nil)
 	c.requeued += woken + moved
 }
-
-// DebugBarrier reports the barrier's internal state for diagnostics.
-func (b *Barrier) DebugBarrier() (count, gen uint64, sleepers int) {
-	return b.count.Load(), b.gen.Word.Load(), b.gen.Waiters()
-}
-
-// DebugCond reports the condition variable's state for diagnostics.
-func (c *Cond) DebugCond() (seq uint64, sleepers int) {
-	return c.seq.Word.Load(), c.seq.Waiters()
-}
-
-// DebugBarrierWaiters lists thread IDs sleeping on the barrier.
-func (b *Barrier) DebugBarrierWaiters() []int { return b.gen.DebugWaiterIDs() }

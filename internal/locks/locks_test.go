@@ -514,30 +514,6 @@ func TestCondLGenericLocker(t *testing.T) {
 	}
 }
 
-func TestDebugAccessors(t *testing.T) {
-	k := testKernel(t, 2, sched.Features{})
-	tbl := futex.NewTable(k, 0)
-	b := NewBarrier(tbl, 2)
-	c := NewCond(tbl)
-	k.Spawn("w", func(th *sched.Thread) { b.Await(th) })
-	k.Spawn("check", func(th *sched.Thread) {
-		th.Run(2 * sim.Millisecond)
-		if cnt, _, sleepers := b.DebugBarrier(); cnt != 1 || sleepers != 1 {
-			panic("DebugBarrier wrong")
-		}
-		if _, sleepers := c.DebugCond(); sleepers != 0 {
-			panic("DebugCond wrong")
-		}
-		if ids := b.DebugBarrierWaiters(); len(ids) != 1 {
-			panic("DebugBarrierWaiters wrong")
-		}
-		b.Await(th)
-	})
-	if err := k.RunToCompletion(0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLockerNames(t *testing.T) {
 	k := testKernel(t, 2, sched.Features{})
 	tbl := futex.NewTable(k, 0)

@@ -58,7 +58,7 @@ func (k *Kernel) pullFromBusiest(c *cpu, maxPull int) int {
 	}
 	moved := 0
 	for moved < want {
-		t := k.policy.StealCandidate(busiest)
+		t := stealRightmost(busiest)
 		if t == nil {
 			break
 		}
@@ -66,6 +66,25 @@ func (k *Kernel) pullFromBusiest(c *cpu, maxPull int) int {
 		moved++
 	}
 	return moved
+}
+
+// stealRightmost picks the migratable thread with the largest ordering key
+// (least likely to run soon) from c's queue: a backward walk from Max with
+// early exit at the first unpinned runnable thread, skipping the virtually
+// blocked block at the tree's tail. The forward-walk equivalent visited the
+// entire queue per steal.
+func stealRightmost(c *cpu) *Thread {
+	n := c.tree.Max()
+	// Virtually blocked threads sort last; skip the trailing blocked block.
+	for n != nil && n.Value.vblocked {
+		n = c.tree.Prev(n)
+	}
+	for ; n != nil; n = c.tree.Prev(n) {
+		if n.Value.pinned < 0 {
+			return n.Value
+		}
+	}
+	return nil
 }
 
 // moveThread migrates a queued thread between runqueues with vruntime

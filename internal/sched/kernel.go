@@ -131,7 +131,9 @@ type Kernel struct {
 	memModel *mem.Model
 	rng      *sim.Rand
 
-	policy Policy
+	policy namedPolicy
+	// arrivals numbers enqueues: the arrival stamp FIFO policies order by.
+	arrivals uint64
 
 	cpus     []*cpu
 	nAllowed int
@@ -266,7 +268,11 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 		// Kernel code (context switches, IRQs) touches scattered data.
 		kernProfile: hw.ExecProfile{InstPerUS: 2000, InstPerL1Miss: 30, InstPerTLBMiss: 400, InstPerBranch: 5},
 	}
-	k.policy = newPolicy(cfg.Policy, k)
+	pol, ok := lookupPolicy(cfg.Policy)
+	if !ok {
+		panic("sched: unknown policy " + cfg.Policy)
+	}
+	k.policy = pol
 	k.spinExit = eng.Lane(cfg.Costs.SpinExitLatency)
 	k.cpus = make([]*cpu, total)
 	for i := range k.cpus {
@@ -451,7 +457,7 @@ func (k *Kernel) Spawn(name string, body func(*Thread)) *Thread {
 	t.cpu = target
 	c := k.cpus[target]
 	t.vruntime = c.minV
-	k.policy.Woken(c, t)
+	k.refreshDeadline(t)
 	k.trace(target, t, "spawn", int64(target))
 	k.enqueue(c, t)
 	k.reschedule(c)
@@ -494,6 +500,30 @@ func (k *Kernel) idlestCPU(prevCPU int) int {
 	return best
 }
 
+// wakeTarget chooses the wakeup CPU for t the way CFS does: the pinned
+// CPU, t's previous CPU if idle, or the idlest allowed CPU preferring t's
+// node.
+func (k *Kernel) wakeTarget(t *Thread) int {
+	if t.pinned >= 0 && k.cpus[t.pinned].enabled {
+		return t.pinned
+	}
+	if prev := k.cpus[t.cpu]; prev.enabled && prev.curr == nil && prev.tree.Len() == 0 {
+		return t.cpu
+	}
+	return k.idlestCPU(t.cpu)
+}
+
+// refreshDeadline starts a fresh EDF period for t: the absolute deadline
+// becomes now + t's relative deadline (SchedLatency when unset). A wakeup,
+// a VWake or a spawn is the job arrival that starts one.
+func (k *Kernel) refreshDeadline(t *Thread) {
+	rel := t.relDeadline
+	if rel <= 0 {
+		rel = k.costs.SchedLatency
+	}
+	t.deadline = k.eng.Now().Add(rel)
+}
+
 // enqueue inserts t into c's runqueue. The caller is responsible for
 // migration accounting and vruntime placement.
 func (k *Kernel) enqueue(c *cpu, t *Thread) {
@@ -502,7 +532,14 @@ func (k *Kernel) enqueue(c *cpu, t *Thread) {
 	}
 	t.cpu = c.id
 	t.state = StateRunnable
-	k.policy.Enqueue(c, t)
+	// Keys change before the tree insert: a fresh arrival stamp, and an
+	// expired deadline postponed by one period (constant-bandwidth-server
+	// style), so a slice-expired CPU hog re-enters behind live deadlines.
+	k.arrivals++
+	t.arrivalSeq = k.arrivals
+	if t.deadline <= k.eng.Now() {
+		k.refreshDeadline(t)
+	}
 	t.node = c.tree.Insert(t)
 	if t.vblocked {
 		c.nrBlocked++
@@ -524,7 +561,6 @@ func (k *Kernel) dequeue(t *Thread) {
 	if t.vblocked {
 		c.nrBlocked--
 	}
-	k.policy.Dequeue(c, t)
 }
 
 // reschedule requests a dispatch pass on c at the current time, coalescing
@@ -577,17 +613,38 @@ func preemptNowCall(arg any, cpuID, _ uint64) {
 	t.k.preemptNow(t.k.cpus[cpuID], t)
 }
 
+// pickLeftmost returns the first eligible thread in c's tree order,
+// honouring BWD skip flags; nil if only virtually blocked (or no) threads
+// remain.
+func pickLeftmost(c *cpu) *Thread {
+	var fallback *Thread
+	for n := c.tree.Min(); n != nil; n = c.tree.Next(n) {
+		t := n.Value
+		if t.vblocked {
+			break // blocked threads sort last; nothing eligible beyond
+		}
+		if t.skipUntil > c.dispatchSeq {
+			if fallback == nil {
+				fallback = t
+			}
+			continue
+		}
+		return t
+	}
+	return fallback
+}
+
 // schedule dispatches the next thread on c if it is not running one.
 func (k *Kernel) schedule(c *cpu) {
 	if !c.enabled || c.curr != nil {
 		return
 	}
-	next := k.policy.PickNext(c)
+	next := pickLeftmost(c)
 	if next == nil {
 		// Effectively idle (empty, or only virtually blocked threads):
 		// try to pull real load from the busiest CPU first.
 		if k.idlePull(c) {
-			next = k.policy.PickNext(c)
+			next = pickLeftmost(c)
 		}
 		if next == nil {
 			if c.tree.Len() > 0 {
@@ -1102,7 +1159,7 @@ func (k *Kernel) timerWake(t *Thread) {
 	}
 	target := t.cpu
 	if !k.cpus[target].enabled || (t.pinned >= 0 && target != t.pinned) {
-		target = k.policy.WakeTarget(t)
+		target = k.wakeTarget(t)
 	}
 	c := k.cpus[target]
 	k.placeWoken(c, t)
@@ -1122,7 +1179,7 @@ func (k *Kernel) placeWoken(c *cpu, t *Thread) {
 	if t.cpu != c.id {
 		k.accountMigration(t, t.cpu, c.id)
 	}
-	k.policy.Woken(c, t)
+	k.refreshDeadline(t)
 	floor := c.minV - k.costs.SleeperBonus
 	if t.vruntime < floor {
 		t.vruntime = floor
@@ -1209,7 +1266,7 @@ func (k *Kernel) WakeVanilla(waker *Thread, t *Thread) {
 	if t.state != StateSleeping {
 		return // woken concurrently while we paid the selection cost
 	}
-	target := k.policy.WakeTarget(t)
+	target := k.wakeTarget(t)
 	c := k.cpus[target]
 	c.lock.Lock(waker)
 	waker.RunKernel(k.costs.RQLockHold + k.costs.Enqueue)
@@ -1229,7 +1286,7 @@ func (k *Kernel) WakeIRQ(t *Thread) {
 	if t.state != StateSleeping {
 		return
 	}
-	target := k.policy.WakeTarget(t)
+	target := k.wakeTarget(t)
 	c := k.cpus[target]
 	c.overhead += k.costs.SelectCoreBase + k.costs.RQLockHold + k.costs.Enqueue
 	k.placeWoken(c, t)
@@ -1253,7 +1310,7 @@ func (k *Kernel) VWake(waker *Thread, t *Thread) {
 	k.trace(c.id, t, "vwake", 0)
 	k.dequeue(t)
 	t.vblocked = false
-	k.policy.Woken(c, t)
+	k.refreshDeadline(t)
 	floor := c.minV - k.costs.SleeperBonus
 	if t.vruntime < floor {
 		t.vruntime = floor

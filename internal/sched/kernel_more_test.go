@@ -122,19 +122,6 @@ func TestSMTWithVB(t *testing.T) {
 	}
 }
 
-func TestDebugStateFormat(t *testing.T) {
-	_, k := testKernel(t, 1, Features{})
-	th := k.Spawn("x", func(th *Thread) { th.Run(sim.Millisecond) })
-	s := th.DebugState()
-	if !strings.Contains(s, "new") && !strings.Contains(s, "runnable") {
-		t.Errorf("DebugState = %q, want a state label", s)
-	}
-	mustComplete(t, k, 0)
-	if got := th.DebugState(); !strings.Contains(got, "exited") {
-		t.Errorf("DebugState after exit = %q", got)
-	}
-}
-
 func TestThreadStringAndLifetime(t *testing.T) {
 	_, k := testKernel(t, 1, Features{})
 	th := k.Spawn("worker", func(th *Thread) { th.Run(2 * sim.Millisecond) })

@@ -16,12 +16,9 @@ const oracleLongKey = sim.Duration(1) << 62
 // lowest-ID busy-waiter monopolize a CPU across slice expiries (its key
 // never grows the way vruntime does), starving the thread it waits on.
 // Keys are stable while a thread is queued: request fields mutate only
-// while the thread is current, off the tree, and the arrival stamp is
-// assigned in the pre-insert Enqueue hook.
-type oraclePolicy struct {
-	k   *Kernel
-	seq uint64
-}
+// while the thread is current, off the tree, and the kernel stamps the
+// arrival before the tree insert.
+type oraclePolicy struct{}
 
 // oracleKey tiers the queue: threads whose pending request is a consumed
 // directive (fresh spawns, wakes from block/sleep, yields) have not yet
@@ -42,9 +39,7 @@ func oracleKey(t *Thread) sim.Duration {
 	return 0
 }
 
-func (p *oraclePolicy) Name() string { return "oracle" }
-
-func (p *oraclePolicy) Less(a, b *Thread) bool {
+func (oraclePolicy) Less(a, b *Thread) bool {
 	ka, kb := oracleKey(a), oracleKey(b)
 	if ka != kb {
 		return ka < kb
@@ -52,23 +47,8 @@ func (p *oraclePolicy) Less(a, b *Thread) bool {
 	return a.arrivalSeq < b.arrivalSeq
 }
 
-func (p *oraclePolicy) PickNext(c *cpu) *Thread { return pickLeftmost(c) }
+func (oraclePolicy) Tick(c *cpu, t *Thread) sim.Duration { return c.k.fairSlice(c) }
 
-func (p *oraclePolicy) Enqueue(c *cpu, t *Thread) {
-	p.seq++
-	t.arrivalSeq = p.seq
-}
-
-func (p *oraclePolicy) Dequeue(c *cpu, t *Thread) {}
-
-func (p *oraclePolicy) Woken(c *cpu, t *Thread) {}
-
-func (p *oraclePolicy) Tick(c *cpu, t *Thread) sim.Duration { return p.k.fairSlice(c) }
-
-func (p *oraclePolicy) WakeTarget(t *Thread) int { return p.k.defaultWakeTarget(t) }
-
-func (p *oraclePolicy) WakePreempts(c *cpu, curr, t *Thread, gran sim.Duration) bool {
+func (oraclePolicy) WakePreempts(c *cpu, curr, t *Thread, gran sim.Duration) bool {
 	return oracleKey(t) < oracleKey(curr)
 }
-
-func (p *oraclePolicy) StealCandidate(c *cpu) *Thread { return stealRightmost(c) }

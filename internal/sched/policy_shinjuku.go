@@ -10,33 +10,15 @@ const shinjukuQuantum = 5 * sim.Microsecond
 
 // shinjukuPolicy approximates Shinjuku-style centralized µs-scale
 // scheduling in the per-CPU-runqueue frame of this kernel: the queue is
-// FIFO by arrival (a per-policy monotone sequence stamped at enqueue, so a
-// preempted thread goes to the tail rather than resuming immediately), the
-// quantum is a fixed 5 µs regardless of queue depth, and wakeups never
-// preempt — the tiny quantum already bounds waiting time, which is the
-// mechanism the real system relies on instead of wakeup heuristics.
-type shinjukuPolicy struct {
-	k   *Kernel
-	seq uint64
-}
+// FIFO by arrival (the kernel's per-enqueue arrival stamp, so a preempted
+// thread goes to the tail rather than resuming immediately, and steals
+// keep arrival-time affinity), the quantum is a fixed 5 µs regardless of
+// queue depth, and wakeups never preempt — the tiny quantum already bounds
+// waiting time, which is the mechanism the real system relies on instead
+// of wakeup heuristics.
+type shinjukuPolicy struct{}
 
-func (p *shinjukuPolicy) Name() string { return "shinjuku" }
-
-func (p *shinjukuPolicy) Less(a, b *Thread) bool { return a.arrivalSeq < b.arrivalSeq }
-
-func (p *shinjukuPolicy) PickNext(c *cpu) *Thread { return pickLeftmost(c) }
-
-// Enqueue stamps the arrival sequence; the sequence is policy-global (one
-// policy instance per kernel), which yields FIFO order within each queue
-// and arrival-time affinity across steals.
-func (p *shinjukuPolicy) Enqueue(c *cpu, t *Thread) {
-	p.seq++
-	t.arrivalSeq = p.seq
-}
-
-func (p *shinjukuPolicy) Dequeue(c *cpu, t *Thread) {}
-
-func (p *shinjukuPolicy) Woken(c *cpu, t *Thread) {}
+func (shinjukuPolicy) Less(a, b *Thread) bool { return a.arrivalSeq < b.arrivalSeq }
 
 // Tick grants the fixed quantum of on-CPU time. The pending dispatch
 // overhead (context switch plus cache warmup) is added on top: with
@@ -45,14 +27,10 @@ func (p *shinjukuPolicy) Woken(c *cpu, t *Thread) {}
 // thread having done no work at all — every thread thrashing in turn,
 // forever. Real Shinjuku sidesteps this with ~100 ns switches; this
 // simulator charges full CFS-grade switch costs.
-func (p *shinjukuPolicy) Tick(c *cpu, t *Thread) sim.Duration {
+func (shinjukuPolicy) Tick(c *cpu, t *Thread) sim.Duration {
 	return shinjukuQuantum + c.overhead
 }
 
-func (p *shinjukuPolicy) WakeTarget(t *Thread) int { return p.k.defaultWakeTarget(t) }
-
-func (p *shinjukuPolicy) WakePreempts(c *cpu, curr, t *Thread, gran sim.Duration) bool {
+func (shinjukuPolicy) WakePreempts(c *cpu, curr, t *Thread, gran sim.Duration) bool {
 	return false
 }
-
-func (p *shinjukuPolicy) StealCandidate(c *cpu) *Thread { return stealRightmost(c) }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"oversub/internal/bwd"
+	"oversub/internal/epoll"
 	"oversub/internal/futex"
 	"oversub/internal/hw"
 	"oversub/internal/locks"
@@ -12,31 +13,24 @@ import (
 )
 
 // TestSteadyStateZeroAlloc pins the kernel's event paths at zero
-// allocations once a machine is warm, for every registered policy with
-// BWD on. Four threads share two CPUs, so the
-// measured window exercises every path a simulation repeats millions of
-// times: the engine's heap, zero-delay and fixed-delay lanes, timer
-// rearms, slice expiry, Sleep and Yield, a spin that ends by deadline or
-// by BWD deschedule, a spin released by a Word store (Kick, spin-exit
-// lane), balance steals, a contended futex mutex (WakeVanilla) and a
-// barrier whose group wakeups take the virtual-blocking path (VWake).
+// allocations once a machine is warm. The policy legs run every registered
+// policy with VB and BWD on: four threads share two CPUs, so the measured
+// window exercises every path a simulation repeats millions of times: the
+// engine's heap, zero-delay and fixed-delay lanes, timer rearms, slice
+// expiry, Sleep and Yield, a spin that ends by deadline or by BWD
+// deschedule, a spin released by a Word store (Kick, spin-exit lane),
+// balance steals, a contended futex mutex (WakeVanilla) and a barrier
+// whose group wakeups take the virtual-blocking path (VWake). The epoll
+// legs feed a consumer from a sim timer, so posts wake it from interrupt
+// context (VWake(nil, ...) with VB, WakeIRQ without); the barrier leg
+// broadcasts to 31 waiters per phase.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	var deschedules uint64
 	for _, policy := range sched.PolicyNames() {
 		t.Run(policy, func(t *testing.T) {
 			eng, k := steadyMachine(policy)
 			defer eng.Close()
-			until := eng.Run(sim.Time(50 * sim.Millisecond))
-			before := k.Metrics
-			// AllocsPerRun truncates the mean, so each run spans 10 ms: a
-			// path taken only a few times per ms still shows an allocation.
-			allocs := testing.AllocsPerRun(5, func() {
-				until = eng.Run(until.Add(10 * sim.Millisecond))
-			})
-			if allocs != 0 {
-				t.Fatalf("%v allocs per 10 simulated ms in steady state, want 0", allocs)
-			}
-			m := k.Metrics
+			before, m := pinZeroAlloc(t, eng, k)
 			if m.Wakeups == before.Wakeups || m.VBWakes == before.VBWakes || m.MigrationsInNode == before.MigrationsInNode {
 				t.Fatalf("the measured window lost a path: %+v after %+v", m, before)
 			}
@@ -48,6 +42,107 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	if deschedules == 0 {
 		t.Fatal("no BWD deschedule in any measured window")
 	}
+	for _, vb := range []bool{true, false} {
+		name := "epoll/vanilla"
+		if vb {
+			name = "epoll/vb"
+		}
+		t.Run(name, func(t *testing.T) {
+			eng, k := epollMachine(vb)
+			defer eng.Close()
+			before, m := pinZeroAlloc(t, eng, k)
+			woken := m.Wakeups > before.Wakeups
+			if vb {
+				woken = m.VBWakes > before.VBWakes
+			}
+			if m.EpollWaits == before.EpollWaits || !woken {
+				t.Fatalf("the measured window lost a path: %+v after %+v", m, before)
+			}
+		})
+	}
+	t.Run("barrier32", func(t *testing.T) {
+		eng, k := barrierMachine(32)
+		defer eng.Close()
+		before, m := pinZeroAlloc(t, eng, k)
+		if m.FutexWakes-before.FutexWakes < 31 {
+			t.Fatalf("the measured window saw no full broadcast: %+v after %+v", m, before)
+		}
+	})
+}
+
+// pinZeroAlloc warms the machine for 50 simulated ms, then fails t unless
+// running it further allocates nothing. It returns the kernel's counters
+// from before and after the measured window.
+func pinZeroAlloc(t *testing.T, eng *sim.Engine, k *sched.Kernel) (before, after sched.Metrics) {
+	t.Helper()
+	until := eng.Run(sim.Time(50 * sim.Millisecond))
+	before = k.Metrics
+	// AllocsPerRun truncates the mean, so each run spans 10 ms: a path
+	// taken only a few times per ms still shows an allocation.
+	allocs := testing.AllocsPerRun(5, func() {
+		until = eng.Run(until.Add(10 * sim.Millisecond))
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per 10 simulated ms in steady state, want 0", allocs)
+	}
+	return before, k.Metrics
+}
+
+// newMachine builds a 2-CPU kernel for the pin.
+func newMachine(policy string, feat sched.Features) (*sim.Engine, *sched.Kernel) {
+	eng := sim.NewEngine(12345)
+	return eng, sched.New(eng, sched.Config{
+		Topo:   hw.Topology{Sockets: 1, CoresPerSocket: 2, ThreadsPerCore: 1},
+		NCPUs:  2,
+		Costs:  sched.DefaultCosts(),
+		Feat:   feat,
+		Seed:   777,
+		Policy: policy,
+	})
+}
+
+// epollMachine builds the epoll leg: a timer posts every 200 µs to a
+// consumer that handles each event in 50 µs and blocks again, beside a
+// thread that computes and sleeps.
+func epollMachine(vb bool) (*sim.Engine, *sched.Kernel) {
+	eng, k := newMachine("", sched.Features{VB: vb})
+	poll := epoll.New(k)
+	var post *sim.Timer
+	post = eng.Timer(func() {
+		poll.Post(nil)
+		post.Rearm(200 * sim.Microsecond)
+	})
+	post.Rearm(200 * sim.Microsecond)
+	k.Spawn("consumer", func(th *sched.Thread) {
+		for {
+			poll.Wait(th)
+			th.Run(50 * sim.Microsecond)
+		}
+	})
+	k.Spawn("compute", func(th *sched.Thread) {
+		for {
+			th.Run(1 * sim.Millisecond)
+			th.Sleep(100 * sim.Microsecond)
+		}
+	})
+	return eng, k
+}
+
+// barrierMachine builds the wide-broadcast leg: n threads on two CPUs
+// meet at one barrier after every 20 µs of work, so each phase's last
+// arrival wakes n-1 waiters.
+func barrierMachine(n int) (*sim.Engine, *sched.Kernel) {
+	eng, k := newMachine("", sched.Features{})
+	bar := locks.NewBarrier(futex.NewTable(k, 16), n)
+	for i := 0; i < n; i++ {
+		k.Spawn("party", func(th *sched.Thread) {
+			for {
+				th.Run(20 * sim.Microsecond)
+				bar.Await(th)
+			}
+		})
+	}
+	return eng, k
 }
 
 // steadyMachine builds the pin's workload: two threads hand a futex mutex
@@ -55,15 +150,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 // Word another thread sets after the barrier; every thread also computes
 // past its slice, sleeps, yields or spins to a deadline.
 func steadyMachine(policy string) (*sim.Engine, *sched.Kernel) {
-	eng := sim.NewEngine(12345)
-	k := sched.New(eng, sched.Config{
-		Topo:   hw.Topology{Sockets: 1, CoresPerSocket: 2, ThreadsPerCore: 1},
-		NCPUs:  2,
-		Costs:  sched.DefaultCosts(),
-		Feat:   sched.Features{VB: true},
-		Seed:   777,
-		Policy: policy,
-	})
+	eng, k := newMachine(policy, sched.Features{VB: true})
 	bwd.New(k, bwd.Config{Mode: bwd.ModeBWD}).Start()
 	tbl := futex.NewTable(k, 16)
 	mu := locks.NewMutex(tbl)

@@ -113,9 +113,11 @@ type Thread struct {
 	weight   int64  // CFS load weight derived from nice
 	node     rqNode // runqueue linkage (nil when not queued)
 
-	// Policy ordering keys beyond vruntime. deadline is the EDF absolute
-	// deadline, refreshed from relDeadline at each wakeup; arrivalSeq is the
-	// shinjuku FIFO stamp assigned at each enqueue. Unused keys stay zero.
+	// Ordering keys beyond vruntime, kept by the kernel for every thread
+	// whichever policy reads them. deadline is the EDF absolute deadline,
+	// refreshed from relDeadline at each wakeup and postponed at an enqueue
+	// that finds it expired; arrivalSeq is the kernel's arrival stamp,
+	// assigned at each enqueue (shinjuku's FIFO, oracle's tiebreak).
 	deadline    sim.Time
 	relDeadline sim.Duration
 	arrivalSeq  uint64
@@ -359,18 +361,4 @@ func (t *Thread) String() string {
 		return fmt.Sprintf("%s#%d", t.Name, t.ID)
 	}
 	return fmt.Sprintf("thread#%d", t.ID)
-}
-
-// reqKindNames names request kinds for diagnostics, indexed by reqKind.
-var reqKindNames = [...]string{
-	reqNew: "new", reqRun: "run", reqTight: "tight", reqSpin: "spin",
-	reqYield: "yield", reqBlock: "block", reqVBlock: "vblock", reqSleep: "sleep",
-}
-
-// DebugState describes the thread's scheduler state and pending request,
-// for diagnostics and tests.
-func (t *Thread) DebugState() string {
-	return fmt.Sprintf("%v/%s rem=%v cpu=%d vr=%v kern=%v noPre=%v skip=%d",
-		t.state, reqKindNames[t.req.kind], t.req.remaining, t.cpu, t.vruntime,
-		t.req.kernSpin, t.req.noPreempt, t.skipUntil)
 }
