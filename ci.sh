@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the repo's gate: formatting, vet, simlint, build, tests, the race
 # detector (the runner fans simulation runs across OS threads, so every
-# test also runs under -race), and a determinism smoke test proving that a
+# test also runs under -race), one run of every example and of lockbench,
+# and a determinism smoke test proving that a
 # parallel experiment fleet is byte-identical to a serial one, and a
 # results oracle: every committed results/*.txt regenerates byte for byte.
 # One benchmark pass at the golden seed checks every workload cell's
@@ -43,6 +44,24 @@ go test ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== facade callers: examples and lockbench run =="
+# The examples and cmd/lockbench call the oversub facade from outside the
+# module's tests: each must run to completion and exit 0, lockbench with
+# and without the paper's mechanisms.
+for ex in examples/*/; do
+    name=$(basename "$ex")
+    go build -o "$detdir/ex-$name" "./$ex"
+    if ! "$detdir/ex-$name" >"$detdir/ex-$name.txt" 2>&1; then
+        echo "facade smoke FAILED: example $name exited non-zero" >&2
+        cat "$detdir/ex-$name.txt" >&2
+        exit 1
+    fi
+done
+go build -o "$detdir/lockbench" ./cmd/lockbench
+"$detdir/lockbench" -threads 8 -cores 2 -iters 50 >/dev/null
+"$detdir/lockbench" -threads 8 -cores 2 -iters 50 -bwd -vb >/dev/null
+echo "every example and both lockbench runs exited 0."
 
 echo "== determinism smoke: parallel == serial =="
 # The same quick experiments, serial (-jobs 1) and parallel (-jobs 8); the

@@ -7,47 +7,27 @@ import (
 	"oversub/internal/workload"
 )
 
-// fig9Specs returns the 13 blocking-synchronization benchmarks.
-func fig9Specs() []*oversub.BenchSpec {
-	names := []string{"fluidanimate", "freqmine", "streamcluster", "lu_cb",
-		"ocean", "radix", "is", "cg", "mg", "ft", "sp", "bt", "ua"}
-	out := make([]*oversub.BenchSpec, len(names))
-	for i, n := range names {
-		out[i] = oversub.FindBenchmark(n)
-	}
-	return out
-}
-
 // fig9 reproduces Figure 9: vanilla vs optimized (VB) execution on the
 // blocking benchmarks at 8 cores and at 8 hyper-threads of 4 cores,
 // normalized to 8 threads on vanilla in each configuration.
 func fig9(e *env) {
-	o := e.o
-	scale := o.scale
-	if o.quick {
-		scale *= 0.3
-	}
 	type cfg struct {
 		label string
 		cores int
 		smt   int
 	}
 	hwcs := []cfg{{"8 cores (HT off)", 8, 1}, {"8 hyper-threads on 4 cores", 4, 2}}
-	specs := fig9Specs()
+	specs := workload.Fig9Benchmarks()
 	type row struct{ base, van, opt future[oversub.BenchResult] }
 	rows := make([][]row, len(hwcs))
 	for hi, hwc := range hwcs {
 		rows[hi] = make([]row, len(specs))
 		for si, spec := range specs {
 			rows[hi][si] = row{
-				base: e.bench(spec, oversub.BenchConfig{
-					Threads: 8, Cores: hwc.cores, SMT: hwc.smt, Seed: o.seed, WorkScale: scale,
-				}),
-				van: e.bench(spec, oversub.BenchConfig{
-					Threads: 32, Cores: hwc.cores, SMT: hwc.smt, Seed: o.seed, WorkScale: scale,
-				}),
+				base: e.bench(spec, oversub.BenchConfig{Threads: 8, Cores: hwc.cores, SMT: hwc.smt}),
+				van:  e.bench(spec, oversub.BenchConfig{Threads: 32, Cores: hwc.cores, SMT: hwc.smt}),
 				opt: e.bench(spec, oversub.BenchConfig{
-					Threads: 32, Cores: hwc.cores, SMT: hwc.smt, Seed: o.seed, WorkScale: scale,
+					Threads: 32, Cores: hwc.cores, SMT: hwc.smt,
 					Feat: oversub.Features{VB: true},
 				}),
 			}
@@ -129,26 +109,14 @@ func fig10(e *env) {
 // tab1 reproduces Table 1: CPU utilization and migration counts for the
 // blocking benchmarks under 8T, 32T vanilla, and 32T optimized.
 func tab1(e *env) {
-	o := e.o
-	scale := o.scale
-	if o.quick {
-		scale *= 0.3
-	}
-	specs := fig9Specs()
+	specs := workload.Fig9Benchmarks()
 	type row struct{ base, van, opt future[oversub.BenchResult] }
 	rows := make([]row, len(specs))
 	for si, spec := range specs {
 		rows[si] = row{
-			base: e.bench(spec, oversub.BenchConfig{
-				Threads: 8, Cores: 8, Seed: o.seed, WorkScale: scale,
-			}),
-			van: e.bench(spec, oversub.BenchConfig{
-				Threads: 32, Cores: 8, Seed: o.seed, WorkScale: scale,
-			}),
-			opt: e.bench(spec, oversub.BenchConfig{
-				Threads: 32, Cores: 8, Seed: o.seed, WorkScale: scale,
-				Feat: oversub.Features{VB: true},
-			}),
+			base: e.bench(spec, oversub.BenchConfig{Threads: 8, Cores: 8}),
+			van:  e.bench(spec, oversub.BenchConfig{Threads: 32, Cores: 8}),
+			opt:  e.bench(spec, oversub.BenchConfig{Threads: 32, Cores: 8, Feat: oversub.Features{VB: true}}),
 		}
 	}
 	fmt.Fprintf(e.out, "%-14s | %21s | %26s | %26s\n", "",
@@ -171,16 +139,7 @@ func tab1(e *env) {
 // and the cpuset is resized early in the run, as the paper varies cores at
 // runtime.
 func fig11(e *env) {
-	o := e.o
-	scale := o.scale
-	if o.quick {
-		scale *= 0.3
-	}
-	specs := []*oversub.BenchSpec{
-		oversub.FindBenchmark("ep"), oversub.FindBenchmark("facesim"),
-		oversub.FindBenchmark("streamcluster"), oversub.FindBenchmark("ocean"),
-		oversub.FindBenchmark("cg"),
-	}
+	specs := workload.Fig11Benchmarks()
 	coreCounts := []int{2, 4, 8, 16, 32}
 	type row [5]future[oversub.BenchResult]
 	futs := make([][]row, len(specs))
@@ -189,7 +148,7 @@ func fig11(e *env) {
 		for ci, cores := range coreCounts {
 			run := func(threads int, feat oversub.Features, detect oversub.DetectMode) future[oversub.BenchResult] {
 				return e.bench(spec, oversub.BenchConfig{
-					Threads: threads, Cores: 8, Seed: o.seed, WorkScale: scale,
+					Threads: threads, Cores: 8,
 					Feat: feat, Detect: detect,
 					Horizon: 5 * oversub.Second,
 					Plan:    []oversub.CPUChange{{At: 2 * oversub.Millisecond, Cores: cores}},
@@ -243,7 +202,7 @@ func fig12(e *env) {
 		for ri, row := range rows {
 			futs[ci][ri] = e.memcached(oversub.MemcachedConfig{
 				Workers: row.workers, Cores: cores, VB: row.vb,
-				Requests: requests, Seed: e.o.seed,
+				Requests: requests,
 			})
 		}
 	}

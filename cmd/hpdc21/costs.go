@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"strings"
 
 	"oversub"
 	"oversub/internal/workload"
@@ -10,21 +11,12 @@ import (
 // fig1 reproduces Figure 1: normalized execution time of the whole suite
 // with 8 and 32 threads on 8 cores under the vanilla kernel.
 func fig1(e *env) {
-	o := e.o
-	scale := o.scale
-	if o.quick {
-		scale *= 0.3
-	}
 	specs := oversub.Benchmarks()
 	type row struct{ base, over future[oversub.BenchResult] }
 	rows := make([]row, len(specs))
 	for i, spec := range specs {
-		rows[i].base = e.bench(spec, oversub.BenchConfig{
-			Threads: 8, Cores: 8, Seed: o.seed, WorkScale: scale,
-		})
-		rows[i].over = e.bench(spec, oversub.BenchConfig{
-			Threads: 32, Cores: 8, Seed: o.seed, WorkScale: scale,
-		})
+		rows[i].base = e.bench(spec, oversub.BenchConfig{Threads: 8, Cores: 8})
+		rows[i].over = e.bench(spec, oversub.BenchConfig{Threads: 32, Cores: 8})
 	}
 	fmt.Fprintf(e.out, "%-14s %-8s %8s %8s   %s\n", "benchmark", "suite", "8T", "32T", "group")
 	for i, spec := range specs {
@@ -101,16 +93,8 @@ func fig3(e *env) {
 		if i == len(buckets)-1 {
 			label = fmt.Sprintf(">=%3.0fus  ", float64(i)*width)
 		}
-		fmt.Fprintf(e.out, "  %s %s (%d)\n", label, bar(c), c)
+		fmt.Fprintf(e.out, "  %s %s (%d)\n", label, strings.Repeat("#", c), c)
 	}
-}
-
-func bar(n int) string {
-	s := ""
-	for i := 0; i < n; i++ {
-		s += "#"
-	}
-	return s
 }
 
 // fig4 reproduces Figure 4: the indirect cost of a context switch for the

@@ -43,11 +43,15 @@ func submit[T any](e *env, label string, fn func() (T, error)) future[T] {
 	})}
 }
 
-// bench schedules one suite-benchmark run.
+// bench schedules one suite-benchmark run at the invocation's seed, work
+// scale (-scale, x0.3 under -quick) and policy.
 func (e *env) bench(spec *oversub.BenchSpec, cfg oversub.BenchConfig) future[oversub.BenchResult] {
-	if cfg.Policy == "" {
-		cfg.Policy = e.o.policy
+	cfg.Seed = e.o.seed
+	cfg.WorkScale = e.o.scale
+	if e.o.quick {
+		cfg.WorkScale *= 0.3
 	}
+	cfg.Policy = e.o.policy
 	label := fmt.Sprintf("%s/%dT/%dc", spec.Name, cfg.Threads, cfg.Cores)
 	return submit(e, label, func() (oversub.BenchResult, error) {
 		r := oversub.RunBenchmark(spec, cfg)
@@ -65,11 +69,11 @@ func execMS(f future[oversub.BenchResult]) string {
 	return fmt.Sprintf("%.1f", r.ExecTime.Millis())
 }
 
-// memcached schedules one memcached service run.
+// memcached schedules one memcached service run at the invocation's seed
+// and policy.
 func (e *env) memcached(cfg oversub.MemcachedConfig) future[oversub.MemcachedResult] {
-	if cfg.Policy == "" {
-		cfg.Policy = e.o.policy
-	}
+	cfg.Seed = e.o.seed
+	cfg.Policy = e.o.policy
 	label := fmt.Sprintf("memcached/%dw/%dc", cfg.Workers, cfg.Cores)
 	return submit(e, label, func() (oversub.MemcachedResult, error) {
 		r := oversub.RunMemcached(cfg)

@@ -58,11 +58,6 @@ func fig13(e *env) {
 // fig14 reproduces Figure 14: user-customized spinning in lu (NPB) and
 // volrend (SPLASH-2), 8-32 threads on 8 cores, container and VM.
 func fig14(e *env) {
-	o := e.o
-	scale := o.scale
-	if o.quick {
-		scale *= 0.3
-	}
 	names := []string{"lu", "volrend"}
 	envs := []struct {
 		label string
@@ -83,18 +78,16 @@ func fig14(e *env) {
 			for ti, threads := range threadCounts {
 				feat := oversub.Features{VM: env.vm}
 				r := row{
-					van: e.bench(spec, oversub.BenchConfig{
-						Threads: threads, Cores: 8, Seed: o.seed, WorkScale: scale, Feat: feat,
-					}),
+					van: e.bench(spec, oversub.BenchConfig{Threads: threads, Cores: 8, Feat: feat}),
 					opt: e.bench(spec, oversub.BenchConfig{
-						Threads: threads, Cores: 8, Seed: o.seed, WorkScale: scale, Feat: feat,
+						Threads: threads, Cores: 8, Feat: feat,
 						Detect: oversub.DetectBWD,
 					}),
 				}
 				if env.vm {
 					r.hasPLE = true
 					r.ple = e.bench(spec, oversub.BenchConfig{
-						Threads: threads, Cores: 8, Seed: o.seed, WorkScale: scale, Feat: feat,
+						Threads: threads, Cores: 8, Feat: feat,
 						Detect: oversub.DetectPLE,
 					})
 				}
@@ -144,29 +137,18 @@ func tab2(e *env) {
 // tab3 reproduces Table 3: BWD's false-positive rate and overhead on eight
 // blocking NPB benchmarks that contain no spinning.
 func tab3(e *env) {
-	o := e.o
-	scale := o.scale
-	if o.quick {
-		scale *= 0.3
-	}
-	names := []string{"is", "ep", "cg", "mg", "ft", "sp", "bt", "ua"}
+	specs := workload.Table3Benchmarks()
 	type row struct{ off, on future[oversub.BenchResult] }
-	rows := make([]row, len(names))
-	for ni, name := range names {
-		spec := oversub.FindBenchmark(name)
+	rows := make([]row, len(specs))
+	for ni, spec := range specs {
 		rows[ni] = row{
-			off: e.bench(spec, oversub.BenchConfig{
-				Threads: 32, Cores: 8, Seed: o.seed, WorkScale: scale,
-			}),
-			on: e.bench(spec, oversub.BenchConfig{
-				Threads: 32, Cores: 8, Seed: o.seed, WorkScale: scale,
-				Detect: oversub.DetectBWD,
-			}),
+			off: e.bench(spec, oversub.BenchConfig{Threads: 32, Cores: 8}),
+			on:  e.bench(spec, oversub.BenchConfig{Threads: 32, Cores: 8, Detect: oversub.DetectBWD}),
 		}
 	}
 	fmt.Fprintf(e.out, "%-6s %12s %10s %15s %15s\n",
 		"app", "#windows", "#FPs", "specificity(%)", "FP overhead(%)")
-	for ni, name := range names {
+	for ni, spec := range specs {
 		off, on := rows[ni].off.wait(), rows[ni].on.wait()
 		spec99 := 100.0
 		if on.BWD.Windows > 0 {
@@ -177,7 +159,7 @@ func tab3(e *env) {
 			overhead = 0
 		}
 		fmt.Fprintf(e.out, "%-6s %12d %10d %15.2f %15.2f\n",
-			name, on.BWD.Windows, on.BWD.FalsePositive, spec99, overhead)
+			spec.Name, on.BWD.Windows, on.BWD.FalsePositive, spec99, overhead)
 	}
 	fmt.Fprintln(e.out, "\n(paper: specificity 99.38-99.99%, FP overhead at most ~1%)")
 }
@@ -185,35 +167,25 @@ func tab3(e *env) {
 // fig15 reproduces Figure 15: pthread vs Mutexee vs MCS-TP vs SHFLLOCK vs
 // the paper's mechanisms, 32 threads on 8 cores, normalized to 8T vanilla.
 func fig15(e *env) {
-	o := e.o
-	scale := o.scale
-	if o.quick {
-		scale *= 0.3
-	}
-	names := []string{"freqmine", "streamcluster", "lu_cb", "ocean", "radix"}
+	specs := workload.Fig15Benchmarks()
 	impls := []string{"pthread", "mutexee", "mcstp", "shfllock"}
 	type row struct {
 		base  future[oversub.BenchResult]
 		locks []future[oversub.BenchResult]
 		opt   future[oversub.BenchResult]
 	}
-	rows := make([]row, len(names))
-	for ni, name := range names {
-		spec := oversub.FindBenchmark(name)
+	rows := make([]row, len(specs))
+	for ni, spec := range specs {
 		r := row{
-			base: e.bench(spec, oversub.BenchConfig{
-				Threads: 8, Cores: 8, Seed: o.seed, WorkScale: scale,
-			}),
+			base:  e.bench(spec, oversub.BenchConfig{Threads: 8, Cores: 8}),
 			locks: make([]future[oversub.BenchResult], len(impls)),
 			opt: e.bench(spec, oversub.BenchConfig{
-				Threads: 32, Cores: 8, Seed: o.seed, WorkScale: scale,
+				Threads: 32, Cores: 8,
 				Feat: oversub.Features{VB: true}, Detect: oversub.DetectBWD,
 			}),
 		}
 		for ii, impl := range impls {
-			r.locks[ii] = e.bench(spec, oversub.BenchConfig{
-				Threads: 32, Cores: 8, Seed: o.seed, WorkScale: scale, LockImpl: impl,
-			})
+			r.locks[ii] = e.bench(spec, oversub.BenchConfig{Threads: 32, Cores: 8, LockImpl: impl})
 		}
 		rows[ni] = r
 	}
@@ -222,10 +194,10 @@ func fig15(e *env) {
 		fmt.Fprintf(e.out, " %10s", impl)
 	}
 	fmt.Fprintf(e.out, " %10s\n", "optimized")
-	for ni, name := range names {
+	for ni, spec := range specs {
 		r := rows[ni]
 		base := r.base.wait()
-		fmt.Fprintf(e.out, "%-14s", name)
+		fmt.Fprintf(e.out, "%-14s", spec.Name)
 		for ii := range impls {
 			lr := r.locks[ii].wait()
 			fmt.Fprintf(e.out, " %10.2f", float64(lr.ExecTime)/float64(base.ExecTime))

@@ -1,7 +1,7 @@
 // Command lockbench benchmarks the full lock zoo — ten spinlocks, the
-// futex mutex, and the three hybrid locks — under configurable contention
-// and oversubscription, printing each lock's run time, throughput and
-// longest acquisition wait.
+// futex mutex, the three hybrid locks, HCLH and the contention-adaptive
+// lock — under configurable contention and oversubscription, printing each
+// lock's run time, throughput and longest acquisition wait.
 //
 // Example:
 //

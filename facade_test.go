@@ -170,15 +170,3 @@ func TestFacadePLEDetector(t *testing.T) {
 		t.Error("PLE missed a PAUSE loop inside a VM")
 	}
 }
-
-func TestFacadeSetNiceAccessible(t *testing.T) {
-	sys := NewSystem(SystemConfig{Cores: 1, Seed: 9})
-	th := sys.Spawn("n", func(th *Thread) { th.Run(Millisecond) })
-	th.SetNice(-5)
-	if th.Nice() != -5 {
-		t.Errorf("Nice = %d", th.Nice())
-	}
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-}

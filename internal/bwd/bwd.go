@@ -33,6 +33,11 @@ import (
 // that imposes no noticeable overhead.
 const DefaultInterval = 100 * sim.Microsecond
 
+// pleThreshold is the PAUSE executions per window that trigger a PLE exit
+// (the real hardware counts pause loops; the scale here matches a window's
+// worth of spinning).
+const pleThreshold = 4096
+
 // Mode selects the detection mechanism.
 type Mode int
 
@@ -63,10 +68,6 @@ func (m Mode) String() string {
 type Config struct {
 	Mode     Mode
 	Interval sim.Duration // 0 means DefaultInterval
-	// PLEThreshold is the PAUSE executions per window that trigger a PLE
-	// exit (the real hardware counts pause loops; the scale here matches a
-	// window's worth of spinning).
-	PLEThreshold uint64
 	// NoSkip disables the skip flag on BWD deschedules (ablation): the
 	// spinner is preempted but may be rescheduled immediately.
 	NoSkip bool
@@ -98,9 +99,6 @@ type Detector struct {
 func New(k *sched.Kernel, cfg Config) *Detector {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
-	}
-	if cfg.PLEThreshold == 0 {
-		cfg.PLEThreshold = 4096
 	}
 	return &Detector{k: k, cfg: cfg}
 }
@@ -146,7 +144,7 @@ func (d *Detector) tick(cpu int) {
 			core.PMC.L1DMisses == 0 &&
 			core.PMC.DTLBMisses == 0
 	case ModePLE:
-		detected = d.k.Features().VM && core.PMC.PauseRetired >= d.cfg.PLEThreshold
+		detected = d.k.Features().VM && core.PMC.PauseRetired >= pleThreshold
 	}
 	spinning, _ := d.k.CurrentlySpinning(cpu)
 	if core.PMC.Instructions > 0 {

@@ -52,13 +52,6 @@ type FleetConfig struct {
 	Machine MachineConfig
 	// Tenants is the service mix (default StandardMix).
 	Tenants []TenantSpec
-	// BatchThreads is the number of CPU-bound background threads
-	// co-located on every machine (default 2, -1 = none). They model the
-	// batch tier that motivates oversubscription in the first place:
-	// with them the cores are never idle, so service wakeups always
-	// contend with running compute — the regime where VB's cheap wakeup
-	// path and BWD's spin eviction pay off.
-	BatchThreads int
 	// Policy selects the dispatcher: "rr", "jsq", "ewma" (default rr).
 	Policy string
 	// MachinePolicies, when non-empty, assigns scheduling policies round
@@ -114,12 +107,6 @@ func (cfg *FleetConfig) defaults() {
 	}
 	if len(cfg.Tenants) == 0 {
 		cfg.Tenants = StandardMix()
-	}
-	if cfg.BatchThreads == 0 {
-		cfg.BatchThreads = 2
-	}
-	if cfg.BatchThreads < 0 {
-		cfg.BatchThreads = 0
 	}
 	if cfg.QPS <= 0 {
 		cfg.QPS = 50000
@@ -239,6 +226,13 @@ type tenantGen struct {
 	rng  *sim.Rand
 	lane int
 }
+
+// batchThreads is the number of CPU-bound background threads co-located on
+// every machine. They model the batch tier that motivates oversubscription
+// in the first place: with them the cores are never idle, so service
+// wakeups always contend with running compute — the regime where VB's
+// cheap wakeup path and BWD's spin eviction pay off.
+const batchThreads = 2
 
 // batchBody is the co-located compute tier: an endless CPU burn in
 // scheduler-quantum-sized chunks. It never blocks, so the fair scheduler
@@ -385,7 +379,7 @@ func buildFleet(cfg FleetConfig, eng *sim.Engine) (*fleet, error) {
 				},
 			}))
 		}
-		for b := 0; b < cfg.BatchThreads; b++ {
+		for b := 0; b < batchThreads; b++ {
 			k.Spawn(fmt.Sprintf("m%d-batch-%d", m, b), batchBody)
 		}
 		f.machines = append(f.machines, mc)

@@ -1,8 +1,7 @@
 // Package epoll models event-based asynchronous I/O blocking — the other
 // blocking mechanism the paper integrates virtual blocking into (§4.2,
 // memcached). A thread calling Wait sleeps until an event is posted; events
-// arrive either from interrupt context (network receive) or from another
-// thread.
+// arrive from interrupt context (network receive).
 //
 // Under vanilla semantics a blocked waiter takes the full sleep/wakeup path
 // through the scheduler. With virtual blocking the waiter stays on its
@@ -35,10 +34,6 @@ type waiter struct {
 	t     *sched.Thread
 	vb    bool
 	woken bool
-	// done is set when the waiter's Wait returns; a deferred wakeup
-	// delivery (PostFrom pays thread-context costs) must be dropped then,
-	// or it would spuriously wake the thread's next sleep.
-	done bool
 }
 
 // New creates an epoll instance on kernel k.
@@ -72,7 +67,6 @@ func (p *Poll) Wait(t *sched.Thread) Event {
 				t.BlockReason(sched.BlockIO)
 			}
 		}
-		w.done = true
 		if w.woken {
 			// Popped and returned: a record still queued (a wake from
 			// elsewhere) stays live until a post pops it.
@@ -101,21 +95,6 @@ func (p *Poll) Post(ev Event) {
 			p.k.VWake(nil, w.t)
 		} else {
 			p.k.WakeIRQ(w.t)
-		}
-	}
-}
-
-// PostFrom delivers an event from thread context: waker pays the wakeup
-// path, as in futex_wake.
-func (p *Poll) PostFrom(waker *sched.Thread, ev Event) {
-	p.k.AssertOwns(waker)
-	p.ready = append(p.ready, ev)
-	p.k.Metrics.EpollPosts++
-	if w := p.popWaiter(); w != nil && !w.done {
-		if w.vb {
-			p.k.VWake(waker, w.t)
-		} else {
-			p.k.WakeVanilla(waker, w.t)
 		}
 	}
 }

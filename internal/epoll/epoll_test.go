@@ -124,24 +124,6 @@ func TestVBWaitPath(t *testing.T) {
 	}
 }
 
-func TestPostFromThreadContext(t *testing.T) {
-	k := testKernel(t, 2, sched.Features{})
-	p := New(k)
-	var got Event
-	k.Spawn("w", func(th *sched.Thread) { got = p.Wait(th) })
-	k.Spawn("poster", func(th *sched.Thread) {
-		th.Run(2 * sim.Millisecond)
-		p.PostFrom(th, "x")
-		th.Run(1 * sim.Millisecond)
-	})
-	if err := k.RunToCompletion(0); err != nil {
-		t.Fatal(err)
-	}
-	if got != "x" {
-		t.Errorf("got %v, want x", got)
-	}
-}
-
 func TestWaitersCountTracking(t *testing.T) {
 	k := testKernel(t, 2, sched.Features{})
 	p := New(k)

@@ -30,20 +30,41 @@ type Locker interface {
 // (atomic RMW plus fence effects).
 const CriticalCost = 25 * sim.Nanosecond
 
+// spinLocks is the one table of the ten spinlocks of Figure 13 / Table 2,
+// in the paper's order; each name is the one its lock's Name() returns.
+var spinLocks = [...]struct {
+	name string
+	new  func(k *sched.Kernel) Spinner
+}{
+	{"alock-ls", func(k *sched.Kernel) Spinner { return NewALockLS(k, 64) }},
+	{"clh", func(k *sched.Kernel) Spinner { return NewCLH(k) }},
+	{"malth", func(k *sched.Kernel) Spinner { return NewMalthusian(k) }},
+	{"mcs", func(k *sched.Kernel) Spinner { return NewMCS(k) }},
+	{"partitioned", func(k *sched.Kernel) Spinner { return NewPartitioned(k, 8) }},
+	{"pthread", func(k *sched.Kernel) Spinner { return NewPthreadSpin(k) }},
+	{"ticket", func(k *sched.Kernel) Spinner { return NewTicket(k) }},
+	{"ttas", func(k *sched.Kernel) Spinner { return NewTTAS(k) }},
+	{"cna", func(k *sched.Kernel) Spinner { return NewCNA(k) }},
+	{"aqs", func(k *sched.Kernel) Spinner { return NewAQS(k) }},
+}
+
+// NumSpinLocks is the number of spinlocks in the paper's set.
+const NumSpinLocks = len(spinLocks)
+
+// NewSpinLock builds the i-th spinlock of the paper's set on kernel k.
+func NewSpinLock(i int, k *sched.Kernel) Spinner { return spinLocks[i].new(k) }
+
+// SpinLockName names the i-th spinlock of the paper's set without building
+// it.
+func SpinLockName(i int) string { return spinLocks[i].name }
+
 // SpinLockSet returns the ten spinlocks of Figure 13 / Table 2, in the
 // paper's order: alock-ls, clh, malth, mcs, partitioned, pthread, ticket,
 // ttas, cna, aqs.
 func SpinLockSet(k *sched.Kernel) []Locker {
-	return []Locker{
-		NewALockLS(k, 64),
-		NewCLH(k),
-		NewMalthusian(k),
-		NewMCS(k),
-		NewPartitioned(k, 8),
-		NewPthreadSpin(k),
-		NewTicket(k),
-		NewTTAS(k),
-		NewCNA(k),
-		NewAQS(k),
+	out := make([]Locker, NumSpinLocks)
+	for i := range out {
+		out[i] = NewSpinLock(i, k)
 	}
+	return out
 }

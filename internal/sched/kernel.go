@@ -115,7 +115,6 @@ type Config struct {
 	NCPUs int // size of the initial cpuset (allowed CPUs)
 	Costs Costs
 	Feat  Features
-	Mem   *mem.Model // nil for a default model with paper geometry
 	Seed  uint64
 	// Policy names the scheduling policy (see PolicyNames); "" selects cfs.
 	Policy string
@@ -124,14 +123,22 @@ type Config struct {
 // Kernel is the simulated OS kernel: scheduler state plus the hardware
 // observables of every core.
 type Kernel struct {
-	eng      *sim.Engine
-	topo     hw.Topology
-	costs    Costs
-	feat     Features
+	eng   *sim.Engine
+	topo  hw.Topology
+	costs Costs
+	feat  Features
+	// The flags sit beside feat's three bools, in the padding before the
+	// next pointer; with live and nextPin 32-bit, Kernel stays within Go's
+	// 512-byte size class (TestStructSizes).
+	stopWhenIdle bool
+	// syncing is set while SyncWindow serves a CPU's request: a body it
+	// resumes must not fire compute in place, because the detector tick
+	// that called SyncWindow reads the window afterwards.
+	syncing  bool
 	memModel *mem.Model
 	rng      *sim.Rand
 
-	policy namedPolicy
+	policy policy
 	// arrivals numbers enqueues: the arrival stamp FIFO policies order by.
 	arrivals uint64
 
@@ -139,14 +146,8 @@ type Kernel struct {
 	nAllowed int
 
 	threads []*Thread
-	live    int
-	nextPin int
-
-	stopWhenIdle bool
-	// syncing is set while SyncWindow serves a CPU's request: a body it
-	// resumes must not fire compute in place, because the detector tick
-	// that called SyncWindow reads the window afterwards.
-	syncing bool
+	live    int32
+	nextPin int32
 
 	kernProfile hw.ExecProfile
 	// spinExit is the engine's lane for SpinExitLatency: every spin
@@ -255,15 +256,12 @@ func New(eng *sim.Engine, cfg Config) *Kernel {
 	if cfg.NCPUs <= 0 || cfg.NCPUs > total {
 		cfg.NCPUs = total
 	}
-	if cfg.Mem == nil {
-		cfg.Mem = mem.NewModel(hw.PaperCaches())
-	}
 	k := &Kernel{
 		eng:      eng,
 		topo:     cfg.Topo,
 		costs:    cfg.Costs,
 		feat:     cfg.Feat,
-		memModel: cfg.Mem,
+		memModel: mem.NewModel(hw.PaperCaches()),
 		rng:      sim.NewRand(cfg.Seed ^ 0x5eed),
 		// Kernel code (context switches, IRQs) touches scattered data.
 		kernProfile: hw.ExecProfile{InstPerUS: 2000, InstPerL1Miss: 30, InstPerTLBMiss: 400, InstPerBranch: 5},
@@ -321,12 +319,11 @@ func (k *Kernel) threadLess(a, b *Thread) bool {
 func (k *Kernel) Engine() *sim.Engine { return k.eng }
 
 // AssertOwns panics unless t belongs to this kernel. Kernel-path entry
-// points that accept caller-supplied threads (futex wait, epoll wait and
-// thread-context post) call it. Every machine of a fleet runs on one
-// engine, so a thread handed to another machine's kernel — for example a
-// request object captured by a closure on the wrong machine — would
-// otherwise run silently on a runqueue it does not belong to; the check
-// fails at the crossing instead.
+// points that accept caller-supplied threads (futex wait and epoll wait)
+// call it. Every machine of a fleet runs on one engine, so a thread handed
+// to another machine's kernel — for example a request object captured by a
+// closure on the wrong machine — would otherwise run silently on a
+// runqueue it does not belong to; the check fails at the crossing instead.
 func (k *Kernel) AssertOwns(t *Thread) {
 	if t != nil && t.k != k {
 		panic("sched: thread " + t.Name + " belongs to a different kernel: cross-machine state leak")
@@ -355,7 +352,7 @@ func (k *Kernel) AllowedCPUs() int { return k.nAllowed }
 func (k *Kernel) Core(id int) *hw.Core { return k.cpus[id].core }
 
 // Live returns the number of spawned, unfinished threads.
-func (k *Kernel) Live() int { return k.live }
+func (k *Kernel) Live() int { return int(k.live) }
 
 // Rand returns the kernel's random source (distinct from the engine's).
 func (k *Kernel) Rand() *sim.Rand { return k.rng }
@@ -466,7 +463,7 @@ func (k *Kernel) Spawn(name string, body func(*Thread)) *Thread {
 
 func (k *Kernel) pinNext() int {
 	for range k.cpus {
-		id := k.nextPin % len(k.cpus)
+		id := int(k.nextPin) % len(k.cpus)
 		k.nextPin++
 		if k.cpus[id].enabled {
 			return id
@@ -747,7 +744,7 @@ func (k *Kernel) closeSegment(c *cpu) {
 		}
 		c.core.AccountCompute(cpuT, k.kernProfile, k.rng)
 		if t != nil {
-			t.vruntime += t.scaleByWeight(cpuT)
+			t.vruntime += cpuT
 			t.CPUTime += cpuT
 		}
 		if c.migPending > 0 && t != nil && cpuT > 0 {
@@ -774,7 +771,7 @@ func (k *Kernel) closeSegment(c *cpu) {
 			t.req.remaining = 0
 		}
 		t.CPUTime += cpuT
-		t.vruntime += t.scaleByWeight(cpuT)
+		t.vruntime += cpuT
 		c.core.AccountCompute(cpuT, t.Profile, k.rng)
 	case segTight:
 		t.req.remaining -= cpuT
@@ -782,12 +779,12 @@ func (k *Kernel) closeSegment(c *cpu) {
 			t.req.remaining = 0
 		}
 		t.CPUTime += cpuT
-		t.vruntime += t.scaleByWeight(cpuT)
+		t.vruntime += cpuT
 		c.core.AccountTightLoop(cpuT, tightBranchFor(t), t.req.loopIter)
 	case segSpin:
 		t.CPUTime += cpuT
 		t.SpinTime += cpuT
-		t.vruntime += t.scaleByWeight(cpuT)
+		t.vruntime += cpuT
 		c.core.AccountSpin(cpuT, t.req.sig)
 		if wall > 0 {
 			k.trace(c.id, t, "spin-seg", int64(wall))

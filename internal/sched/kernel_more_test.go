@@ -369,39 +369,6 @@ func TestCostsArePositive(t *testing.T) {
 	}
 }
 
-func TestNiceLevelsShareCPUByWeight(t *testing.T) {
-	_, k := testKernel(t, 1, Features{})
-	// nice 0 (weight 1024) vs nice 5 (weight 335): ~3:1 CPU share.
-	fast := k.Spawn("fast", func(th *Thread) { th.Run(60 * sim.Millisecond) })
-	slow := k.Spawn("slow", func(th *Thread) { th.Run(60 * sim.Millisecond) })
-	slow.SetNice(5)
-	// Sample shares while both still run (before either finishes).
-	var fastAt, slowAt sim.Duration
-	k.Engine().At(sim.Time(40*sim.Millisecond), func() {
-		k.SyncWindow(0)
-		fastAt, slowAt = fast.CPUTime, slow.CPUTime
-	})
-	mustComplete(t, k, 0)
-	ratio := float64(fastAt) / float64(slowAt)
-	if ratio < 2.2 || ratio > 4.2 {
-		t.Errorf("CPU share ratio = %.2f (fast %v, slow %v), want ~3.0", ratio, fastAt, slowAt)
-	}
-}
-
-func TestNiceClamped(t *testing.T) {
-	_, k := testKernel(t, 1, Features{})
-	th := k.Spawn("x", func(th *Thread) { th.Run(sim.Millisecond) })
-	th.SetNice(-99)
-	if th.Nice() != -20 {
-		t.Errorf("Nice = %d, want -20", th.Nice())
-	}
-	th.SetNice(99)
-	if th.Nice() != 19 {
-		t.Errorf("Nice = %d, want 19", th.Nice())
-	}
-	mustComplete(t, k, 0)
-}
-
 func TestAccessorsAndTightLoop(t *testing.T) {
 	_, k := testKernel(t, 2, Features{VB: true})
 	if k.Features() != (Features{VB: true}) {

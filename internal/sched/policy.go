@@ -67,22 +67,31 @@ func ValidPolicy(name string) bool {
 	return ok
 }
 
-// lookupPolicy returns the registry entry for name ("" selects the
+// lookupPolicy returns the policy registered under name ("" selects the
 // default).
-func lookupPolicy(name string) (namedPolicy, bool) {
+func lookupPolicy(name string) (policy, bool) {
 	if name == "" {
-		return policies[0], true
+		return policies[0].policy, true
 	}
 	for _, p := range policies {
 		if p.name == name {
-			return p, true
+			return p.policy, true
 		}
 	}
-	return namedPolicy{}, false
+	return nil, false
 }
 
 // PolicyName returns the name of the kernel's active scheduling policy.
-func (k *Kernel) PolicyName() string { return k.policy.name }
+// Every policy is an empty struct of its own type, so the registry entry
+// is the one whose value equals the kernel's.
+func (k *Kernel) PolicyName() string {
+	for _, p := range policies {
+		if p.policy == k.policy {
+			return p.name
+		}
+	}
+	panic("sched: kernel policy not in the registry")
+}
 
 // fairSlice is the CFS slice formula — the scheduling latency divided among
 // eligible entities, floored at the minimum granularity — shared by every

@@ -109,8 +109,6 @@ type Thread struct {
 	skipUntil uint64
 
 	vruntime sim.Duration
-	nice     int
-	weight   int64  // CFS load weight derived from nice
 	node     rqNode // runqueue linkage (nil when not queued)
 
 	// Ordering keys beyond vruntime, kept by the kernel for every thread
@@ -147,36 +145,6 @@ func (t *Thread) CPU() int { return t.cpu }
 // VBlocked reports whether the thread_state flag is set (virtual blocking).
 func (t *Thread) VBlocked() bool { return t.vblocked }
 
-// niceToWeight is the kernel's sched_prio_to_weight table for nice levels
-// -20..19; each step is ~1.25x.
-var niceToWeight = [40]int64{
-	88761, 71755, 56483, 46273, 36291,
-	29154, 23254, 18705, 14949, 11916,
-	9548, 7620, 6100, 4904, 3906,
-	3121, 2501, 1991, 1586, 1277,
-	1024, 820, 655, 526, 423,
-	335, 272, 215, 172, 137,
-	110, 87, 70, 56, 45,
-	36, 29, 23, 18, 15,
-}
-
-// SetNice sets the thread's nice level (-20..19, clamped). Lower nice
-// means more weight: the thread's virtual runtime advances more slowly, so
-// CFS grants it a proportionally larger CPU share.
-func (t *Thread) SetNice(n int) {
-	if n < -20 {
-		n = -20
-	}
-	if n > 19 {
-		n = 19
-	}
-	t.nice = n
-	t.weight = niceToWeight[n+20]
-}
-
-// Nice returns the thread's nice level.
-func (t *Thread) Nice() int { return t.nice }
-
 // SetRelDeadline sets the thread's relative deadline: under the EDF policy
 // each wakeup starts a period whose absolute deadline is the wake time plus
 // d. Workloads derive d from their per-thread work interval
@@ -187,23 +155,6 @@ func (t *Thread) SetRelDeadline(d sim.Duration) {
 		d = 0
 	}
 	t.relDeadline = d
-}
-
-// loadWeight returns the CFS weight (1024 at nice 0).
-func (t *Thread) loadWeight() int64 {
-	if t.weight == 0 {
-		return 1024
-	}
-	return t.weight
-}
-
-// scaleByWeight converts consumed CPU time into vruntime advance.
-func (t *Thread) scaleByWeight(d sim.Duration) sim.Duration {
-	w := t.loadWeight()
-	if w == 1024 {
-		return d
-	}
-	return sim.Duration(int64(d) * 1024 / w)
 }
 
 // Lifetime returns how long the thread existed (spawn to exit, or to now).

@@ -84,17 +84,6 @@ func (r *Rand) Jitter(d Duration, f float64) Duration {
 	return v
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Split returns a new independent source derived from this one. Subsystems
 // take a split source so that adding draws in one subsystem does not perturb
 // another.

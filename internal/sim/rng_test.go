@@ -129,28 +129,6 @@ func TestJitterBounds(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRand(8)
-	f := func(n uint8) bool {
-		m := int(n % 64)
-		p := r.Perm(m)
-		if len(p) != m {
-			return false
-		}
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	r := NewRand(9)
 	s1 := r.Split()

@@ -11,13 +11,8 @@ type MemcachedConfig struct {
 	Workers  int // worker threads (epoll event loops)
 	Cores    int
 	VB       bool
-	Requests int     // total requests the client issues
-	Conns    int     // concurrent closed-loop client connections
-	GetRatio float64 // fraction of GETs (paper: 10:1 GET/SET)
-	KeySize  int     // bytes (paper: 128)
-	ValSize  int     // bytes (paper: 2048)
-	// LockShards is the hash-table lock granularity (default 4).
-	LockShards int
+	Requests int // total requests the client issues
+	Conns    int // concurrent closed-loop client connections
 	// Policy selects the scheduling policy ("" = cfs).
 	Policy string
 	Seed   uint64
@@ -42,6 +37,15 @@ type MemcachedResult struct {
 	Events   uint64
 }
 
+// The paper's mutilate mix: 10:1 GET/SET over 2048-byte values (its
+// 128-byte keys cost nothing the model charges), served through a hash
+// table sharded over four item locks.
+const (
+	mcGetRatio   = 10.0 / 11.0
+	mcValSize    = 2048
+	mcLockShards = 4
+)
+
 // mcRequest is one in-flight client request: the service-layer Request
 // plus the client backpointer the closure-free trampolines need. The
 // closed loop keeps exactly one request in flight per connection, so each
@@ -55,16 +59,15 @@ type mcRequest struct {
 // request records plus the state the closure-free scheduling trampolines
 // below need.
 type mcClient struct {
-	eng      *sim.Engine
-	rng      *sim.Rand
-	svc      *Service
-	reqs     []*mcRequest
-	rtt      sim.Duration
-	getRatio float64
-	getWork  sim.Duration
-	setWork  sim.Duration
-	issued   int
-	max      int
+	eng     *sim.Engine
+	rng     *sim.Rand
+	svc     *Service
+	reqs    []*mcRequest
+	rtt     sim.Duration
+	getWork sim.Duration
+	setWork sim.Duration
+	issued  int
+	max     int
 }
 
 func (cl *mcClient) issue(conn int) {
@@ -74,7 +77,7 @@ func (cl *mcClient) issue(conn int) {
 	cl.issued++
 	req := cl.reqs[conn]
 	req.Work = cl.setWork
-	if cl.rng.Float64() < cl.getRatio {
+	if cl.rng.Float64() < mcGetRatio {
 		req.Work = cl.getWork
 	}
 	// Request hits the NIC after half an RTT.
@@ -110,15 +113,6 @@ func Memcached(cfg MemcachedConfig) MemcachedResult {
 	if cfg.Conns <= 0 {
 		cfg.Conns = 64
 	}
-	if cfg.GetRatio <= 0 {
-		cfg.GetRatio = 10.0 / 11.0
-	}
-	if cfg.KeySize <= 0 {
-		cfg.KeySize = 128
-	}
-	if cfg.ValSize <= 0 {
-		cfg.ValSize = 2048
-	}
 
 	eng := microEngine(cfg.Seed)
 	m := NewMachine(eng, MachineSpec{Cores: cfg.Cores, Feat: sched.Features{VB: cfg.VB}, Policy: cfg.Policy,
@@ -126,11 +120,7 @@ func Memcached(cfg MemcachedConfig) MemcachedResult {
 	k, tbl := m.K, m.Futexes
 
 	// The item-lock table: memcached shards its hash table locks.
-	nShards := cfg.LockShards
-	if nShards <= 0 {
-		nShards = 4
-	}
-	shards := make([]locks.Locker, nShards)
+	shards := make([]locks.Locker, mcLockShards)
 	for i := range shards {
 		shards[i] = locks.NewMutex(tbl)
 	}
@@ -141,20 +131,19 @@ func Memcached(cfg MemcachedConfig) MemcachedResult {
 	// ~10us/request in-memory cache on a 2.1 GHz core).
 	parse := 3 * sim.Microsecond
 	hashLookup := 1500 * sim.Nanosecond
-	getCopy := sim.Duration(cfg.ValSize/4) * sim.Nanosecond // value transfer
-	setStore := sim.Duration(cfg.ValSize/3) * sim.Nanosecond
+	getCopy := sim.Duration(mcValSize/4) * sim.Nanosecond // value transfer
+	setStore := sim.Duration(mcValSize/3) * sim.Nanosecond
 	netSend := 3 * sim.Microsecond
 	rtt := 25 * sim.Microsecond // client-server network round trip
 
 	cl := &mcClient{
-		eng:      eng,
-		rng:      rng,
-		rtt:      rtt,
-		getRatio: cfg.GetRatio,
-		getWork:  getCopy,
-		setWork:  setStore,
-		max:      cfg.Requests,
-		reqs:     make([]*mcRequest, cfg.Conns),
+		eng:     eng,
+		rng:     rng,
+		rtt:     rtt,
+		getWork: getCopy,
+		setWork: setStore,
+		max:     cfg.Requests,
+		reqs:    make([]*mcRequest, cfg.Conns),
 	}
 	for c := range cl.reqs {
 		cl.reqs[c] = &mcRequest{Request: Request{Lane: c}, cl: cl}

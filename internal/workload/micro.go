@@ -213,7 +213,8 @@ func PrimitiveStress(p Primitive, threads, cores int, vb bool, seed uint64) sim.
 // SpinLockKind identifies one of the ten Figure 13 algorithms.
 type SpinLockKind int
 
-// The ten spinlocks, in the paper's order.
+// The ten spinlocks, in the paper's order: each kind indexes its row of
+// the locks package's spinlock table.
 const (
 	LockALockLS SpinLockKind = iota
 	LockCLH
@@ -227,14 +228,9 @@ const (
 	LockAQS
 )
 
-// numSpinLocks counts the members above. It is an int, not a
-// SpinLockKind: a count is not an enum member, and keeping it out of the
-// type keeps switches over SpinLockKind exhaustive at ten cases.
-const numSpinLocks = int(LockAQS) + 1
-
 // SpinLockKinds lists all ten kinds in paper order.
 func SpinLockKinds() []SpinLockKind {
-	out := make([]SpinLockKind, numSpinLocks)
+	out := make([]SpinLockKind, locks.NumSpinLocks)
 	for i := range out {
 		out[i] = SpinLockKind(i)
 	}
@@ -242,38 +238,10 @@ func SpinLockKinds() []SpinLockKind {
 }
 
 // New constructs the lock on kernel k.
-func (kind SpinLockKind) New(k *sched.Kernel) locks.Spinner {
-	switch kind {
-	case LockALockLS:
-		return locks.NewALockLS(k, 64)
-	case LockCLH:
-		return locks.NewCLH(k)
-	case LockMalthusian:
-		return locks.NewMalthusian(k)
-	case LockMCS:
-		return locks.NewMCS(k)
-	case LockPartitioned:
-		return locks.NewPartitioned(k, 8)
-	case LockPthreadSpin:
-		return locks.NewPthreadSpin(k)
-	case LockTicket:
-		return locks.NewTicket(k)
-	case LockTTAS:
-		return locks.NewTTAS(k)
-	case LockCNA:
-		return locks.NewCNA(k)
-	case LockAQS:
-		return locks.NewAQS(k)
-	}
-	panic("workload: unknown spinlock kind")
-}
+func (kind SpinLockKind) New(k *sched.Kernel) locks.Spinner { return locks.NewSpinLock(int(kind), k) }
 
 // String names the kind as in Figure 13.
-func (kind SpinLockKind) String() string {
-	names := []string{"alock-ls", "clh", "malth", "mcs", "partitioned",
-		"pthread", "ticket", "ttas", "cna", "aqs"}
-	return names[kind]
-}
+func (kind SpinLockKind) String() string { return locks.SpinLockName(int(kind)) }
 
 // SpinPipelineResult is one bar of Figure 13.
 type SpinPipelineResult struct {

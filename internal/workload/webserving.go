@@ -12,7 +12,7 @@ import (
 // WebConfig describes the CloudSuite-style web-serving experiment the paper
 // mentions alongside memcached ("experiments with other workloads in the
 // Cloudsuite benchmarks, such as web serving, confirmed our findings").
-// Each request is parsed, runs application logic, performs BackendCalls
+// Each request is parsed, runs application logic, performs webBackendCalls
 // round trips to a backend tier (blocking in epoll each time), renders, and
 // responds — so oversubscribed workers sleep and wake several times per
 // request.
@@ -21,18 +21,17 @@ type WebConfig struct {
 	Cores    int
 	VB       bool
 	Requests int
-	Conns    int
-	// BackendCalls is the number of backend round trips per request.
-	BackendCalls int
-	// BackendRTT is the mean backend service round trip.
-	BackendRTT sim.Duration
-	// Policy selects the scheduling policy ("" = cfs).
-	Policy string
-	Seed   uint64
-	// Sampler, when non-nil, snapshots scheduler state at its sim-time
-	// interval. Observation-only.
-	Sampler sched.Sampler `json:"-"`
+	Seed     uint64
 }
+
+// The web-serving client and backend tier: webConns closed-loop
+// connections, and webBackendCalls backend round trips of mean
+// webBackendRTT per request.
+const (
+	webConns        = 48
+	webBackendCalls = 2
+	webBackendRTT   = 120 * sim.Microsecond
+)
 
 // WebResult reports client-observed service metrics.
 type WebResult struct {
@@ -60,19 +59,9 @@ func WebServing(cfg WebConfig) WebResult {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 10000
 	}
-	if cfg.Conns <= 0 {
-		cfg.Conns = 48
-	}
-	if cfg.BackendCalls <= 0 {
-		cfg.BackendCalls = 2
-	}
-	if cfg.BackendRTT <= 0 {
-		cfg.BackendRTT = 120 * sim.Microsecond
-	}
 
 	eng := microEngine(cfg.Seed)
-	k := NewMachine(eng, MachineSpec{Cores: cfg.Cores, Feat: sched.Features{VB: cfg.VB}, Policy: cfg.Policy,
-		Seed: cfg.Seed, Sampler: cfg.Sampler}).K
+	k := NewMachine(eng, MachineSpec{Cores: cfg.Cores, Feat: sched.Features{VB: cfg.VB}, Seed: cfg.Seed}).K
 
 	frontPolls := make([]*epoll.Poll, cfg.Workers)
 	backPolls := make([]*epoll.Poll, cfg.Workers)
@@ -125,11 +114,11 @@ func WebServing(cfg WebConfig) WebResult {
 				}
 				t.Run(parse)
 				t.Run(rng.Jitter(appLogic, 0.4))
-				for call := 0; call < cfg.BackendCalls; call++ {
+				for call := 0; call < webBackendCalls; call++ {
 					// Asynchronous backend round trip; the worker blocks on
 					// its backend completion queue, as PHP-FPM blocks on a
 					// database or cache socket.
-					d := rng.Jitter(cfg.BackendRTT, 0.3)
+					d := rng.Jitter(webBackendRTT, 0.3)
 					eng.After(d, func() { backPolls[w].Post(req) })
 					backEv := backPolls[w].Wait(t)
 					if backEv == nil {
@@ -149,7 +138,7 @@ func WebServing(cfg WebConfig) WebResult {
 	}
 
 	start := eng.Now()
-	for c := 0; c < cfg.Conns; c++ {
+	for c := 0; c < webConns; c++ {
 		issue(c)
 	}
 	if err := k.RunToCompletion(sim.Time(600 * sim.Second)); err != nil {

@@ -279,6 +279,26 @@ func TestSpinPipelineBWDRecovery(t *testing.T) {
 	}
 }
 
+// TestSpinLockKindsIndexTheTable pins each enum member to its row of the
+// locks package's table, and the enum's length to the table's.
+func TestSpinLockKindsIndexTheTable(t *testing.T) {
+	want := map[SpinLockKind]string{
+		LockALockLS: "alock-ls", LockCLH: "clh", LockMalthusian: "malth", LockMCS: "mcs",
+		LockPartitioned: "partitioned", LockPthreadSpin: "pthread", LockTicket: "ticket",
+		LockTTAS: "ttas", LockCNA: "cna", LockAQS: "aqs",
+	}
+	kinds := SpinLockKinds()
+	if len(kinds) != len(want) {
+		t.Fatalf("%d kinds, want %d", len(kinds), len(want))
+	}
+	k := NewMachine(microEngine(1), MachineSpec{Cores: 2, Seed: 1}).K
+	for _, kind := range kinds {
+		if kind.String() != want[kind] || kind.New(k).Name() != want[kind] {
+			t.Errorf("kind %d: String %s, New builds %s, want %s", int(kind), kind, kind.New(k).Name(), want[kind])
+		}
+	}
+}
+
 func TestSensitivityNearPerfect(t *testing.T) {
 	for _, kind := range []SpinLockKind{LockTTAS, LockMCS, LockPthreadSpin} {
 		r := Sensitivity(kind, 300, 13)
